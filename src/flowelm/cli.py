@@ -336,7 +336,7 @@ def cmd_score(args) -> int:
     expected = list(artifact.feature_names)
     delimiter = artifact.schema.delimiter
     n_original = len(expected)
-    kept = list(artifact.selection.kept_indices)
+    kept = np.asarray(artifact.selection.kept_indices)  # indexes each record faster than a list
 
     if args.input == "-":
         stream = sys.stdin
@@ -379,7 +379,14 @@ def cmd_score(args) -> int:
                 warnings += 1
                 ordinal += 1
                 continue
-            row = np.array(values)[kept].reshape(1, -1)
+            record = np.array(values)
+            if not np.isfinite(record).all():
+                # fail closed: a nan/inf cell would otherwise get an ordinary verdict
+                print(f"{ordinal},ERROR,non-finite numeric field")
+                warnings += 1
+                ordinal += 1
+                continue
+            row = record[kept].reshape(1, -1)
             scaled = preprocess.apply_scaler(artifact.scaler, row)
             value = float(elm_mod.score(artifact.model, scaled)[0])
             label = 1 if value >= args.threshold else 0

@@ -1,16 +1,12 @@
-"""Dense float64 matrix routines: product, thin SVD, pseudoinverse, least squares.
+"""Dense float64 matrix routines: thin SVD, pseudoinverse, least squares.
 
-The SVD is a one-sided Jacobi iteration: columns of the working matrix are
-rotated pairwise until they are mutually orthogonal, at which point their
-norms are the singular values. It is slower than blocked LAPACK kernels but
-simple, accurate to machine precision, and dependency-free, which is all
-the closed-form training step needs. The pseudoinverse and the minimum-norm
-least-squares solver are both derived from it.
+The SVD is LAPACK's, through numpy. The pseudoinverse and the minimum-norm
+least-squares solver are both derived from it, with the same cutoff: singular
+values at or below rcond * sigma_max count as zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,33 +15,21 @@ from .errors import DataError, NumericError, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
-_MAX_SWEEPS = 60
-_ORTHO_TOL = 1e-13  # relative column-orthogonality target, well under 1e-10
-
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and convert user input to a fresh 2-D float64 array.
+    """Validate user input as a 2-D float64 array.
 
     Rejects non-2-D input and any NaN/Inf entry, reporting where it sits.
+    An input that already is a float64 array is returned as it is, not
+    copied; nothing in this module writes to its input.
     """
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {arr.ndim}-D")
     if arr.size and not np.isfinite(arr).all():
         row, col = np.argwhere(~np.isfinite(arr))[0]
         raise DataError(f"{name} has a non-finite entry at row {row}, column {col}")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit conformability checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,94 +41,18 @@ class SvdResult:
     vt: np.ndarray
 
 
-def _fill_null_columns(u: np.ndarray, null_cols: list[int]) -> None:
-    """Replace zero columns of u with an orthonormal completion (in place)."""
-    m = u.shape[0]
-    basis = [u[:, j].copy() for j in range(u.shape[1]) if j not in null_cols]
-    for j in null_cols:
-        best_vec = None
-        best_norm = -1.0
-        for k in range(m):
-            v = np.zeros(m)
-            v[k] = 1.0
-            for g in basis:  # two Gram-Schmidt passes for robustness
-                v -= (g @ v) * g
-            for g in basis:
-                v -= (g @ v) * g
-            norm = math.sqrt(v @ v)
-            if norm > best_norm:
-                best_norm = norm
-                best_vec = v
-        best_vec /= best_norm
-        u[:, j] = best_vec
-        basis.append(best_vec)
-
-
-def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a tall-or-square matrix (rows >= cols)."""
-    m, n = a.shape
-    b = a.copy()
-    v = np.eye(n)
-    tol_sq = _ORTHO_TOL * _ORTHO_TOL
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                alpha = bp @ bp
-                beta = bq @ bq
-                gamma = bp @ bq
-                if gamma * gamma <= tol_sq * alpha * beta:
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                b[:, p], b[:, q] = c * bp - s * bq, s * bp + c * bq
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
-        if not rotated:
-            break
-    else:
-        raise NumericError(
-            f"SVD of a {m}x{n} matrix did not converge within {_MAX_SWEEPS} sweeps"
-        )
-
-    norms = np.sqrt(np.einsum("ij,ij->j", b, b))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    u = np.zeros((m, n))
-    null_cols = []
-    for j_new, j_old in enumerate(order):
-        if sigma[j_new] > 0.0:
-            u[:, j_new] = b[:, j_old] / sigma[j_new]
-        else:
-            null_cols.append(j_new)
-    if null_cols:
-        _fill_null_columns(u, null_cols)
-    vt = np.ascontiguousarray(v[:, order].T)
-    return u, sigma, vt
-
-
 def svd(a) -> SvdResult:
     """Thin SVD with orthonormal u/vt columns and descending singular values.
 
-    Raises NumericError if the Jacobi iteration fails to converge within
-    its sweep cap (never observed for finite input, but guarded).
+    Raises NumericError if LAPACK's iteration does not converge.
     """
     a = as_matrix(a, "svd input")
     if a.size == 0:
         raise ShapeError("svd of an empty matrix")
-    m, n = a.shape
-    if m >= n:
-        u, sigma, vt = _jacobi_svd(a)
-    else:
-        ut, sigma, vtt = _jacobi_svd(np.ascontiguousarray(a.T))
-        u = np.ascontiguousarray(vtt.T)
-        vt = np.ascontiguousarray(ut.T)
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix did not converge") from exc
     return SvdResult(u=u, singular_values=sigma, vt=vt)
 
 
@@ -152,30 +60,38 @@ def default_rcond(a: np.ndarray) -> float:
     return EPS * max(a.shape)
 
 
-def pseudoinverse(a, rcond: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the SVD.
+def _truncated_svd(a, rcond: float | None, name: str) -> tuple[SvdResult, np.ndarray]:
+    """SVD of a, and the reciprocal singular values above the rcond cutoff.
 
-    Singular values at or below rcond * sigma_max are treated as zero, so
-    rank-deficient input (including the all-zero matrix) stays well defined.
+    Singular values at or below rcond * sigma_max get a reciprocal of zero,
+    so rank-deficient input (including the all-zero matrix) stays well
+    defined.
     """
-    a = as_matrix(a, "pseudoinverse input")
-    if a.size == 0:
-        raise ShapeError("pseudoinverse of an empty matrix")
+    a = as_matrix(a, f"{name} input")
     if rcond is None:
         rcond = default_rcond(a)
     if rcond < 0:
         raise ValueError("rcond must be >= 0")
-    res = svd(a)
+    res = svd(a)  # rejects an empty matrix
     sigma = res.singular_values
-    cutoff = rcond * (sigma[0] if sigma.size else 0.0)
     inv = np.zeros_like(sigma)
-    keep = sigma > cutoff
+    keep = sigma > rcond * sigma[0]
     inv[keep] = 1.0 / sigma[keep]
+    return res, inv
+
+
+def pseudoinverse(a, rcond: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via the SVD."""
+    res, inv = _truncated_svd(a, rcond, "pseudoinverse")
     return (res.vt.T * inv) @ res.u.T
 
 
 def lstsq(a, targets, rcond: float | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x = targets."""
+    """Minimum-norm least-squares solution of a @ x = targets.
+
+    Equals pseudoinverse(a, rcond) @ targets, but applies the SVD factors
+    to the targets in turn, so the pseudoinverse itself is never formed.
+    """
     a = np.asarray(a, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if a.ndim != 2 or targets.ndim != 2:
@@ -184,4 +100,5 @@ def lstsq(a, targets, rcond: float | None = None) -> np.ndarray:
         raise ShapeError(
             f"row mismatch: coefficients {a.shape} vs targets {targets.shape}"
         )
-    return pseudoinverse(a, rcond) @ targets
+    res, inv = _truncated_svd(a, rcond, "lstsq")
+    return res.vt.T @ (inv[:, None] * (res.u.T @ targets))

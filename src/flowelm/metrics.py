@@ -89,16 +89,12 @@ def auc_roc(y_true, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one sample of each class")
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.shape[0])
-    sorted_scores = s[order]
-    i = 0
-    while i < s.shape[0]:
-        j = i
-        while j + 1 < s.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # Average 1-based rank: ties span sorted positions [left, right), so
+    # their mean 1-based rank is (left + 1 + right) / 2.
+    sorted_scores = np.sort(s)
+    ranks = 0.5 * (
+        np.searchsorted(sorted_scores, s, "left") + np.searchsorted(sorted_scores, s, "right") + 1
+    )
     rank_sum = float(ranks[t == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

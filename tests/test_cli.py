@@ -230,10 +230,16 @@ class TestScore:
         assert result.returncode == 0
         assert result.stdout == ""
 
-    def test_malformed_line_produces_error_verdict_and_continues(self, cli, trained, small_synth_csv):
+    @pytest.mark.parametrize("bad", ["garbage", "nan", "inf", "-inf"])
+    def test_malformed_line_produces_error_verdict_and_continues(self, cli, trained, small_synth_csv, bad):
         lines = small_synth_csv.read_text().splitlines()
         header, records = lines[0], lines[1:11]
-        records[4] = "garbage"
+        if bad == "garbage":
+            records[4] = "garbage"
+        else:  # one non-finite feature cell in an otherwise valid record
+            cells = records[4].split(",")
+            cells[0] = bad
+            records[4] = ",".join(cells)
         text = "\n".join([header] + records) + "\n"
         result = cli("score", "--model", str(trained), stdin_text=text)
         assert result.returncode == 0
