@@ -8,9 +8,9 @@ byte-identical artifacts and reports. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import dataio, metrics, model_select, preprocess
 from . import elm as elm_mod
 from .elm import Activation, ElmParams
-from .errors import DataError, NumericError, SchemaError, ShapeError
+from .errors import DataError, NumericError, ParseError, SchemaError, ShapeError
 from .metrics import EvalReport
 
 EXIT_USAGE = 1
@@ -27,6 +27,18 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors and keeps its options by destination, which
+    the config-file defaults look up in each of `build_parser`'s commands."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -101,16 +113,7 @@ def format_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".flowelm-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(report))
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    dataio.write_atomic(path, format_report(report))
 
 
 def display_summary(report: EvalReport, out=None) -> None:
@@ -152,7 +155,7 @@ class PreparedData:
     data: preprocess.FlowDataset  # cleaned, all ingested columns
     selection: preprocess.FeatureSelection
     train: preprocess.FlowDataset  # selected columns, unscaled
-    test: preprocess.FlowDataset
+    test: preprocess.FlowDataset  # all ingested columns; the artifact selects
 
 
 def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
@@ -169,27 +172,27 @@ def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
         data=data,
         selection=selection,
         train=split_result.train.subset_columns(selection.kept_indices),
-        test=split_result.test.subset_columns(selection.kept_indices),
+        test=split_result.test,
     )
 
 
-def _fit_and_evaluate(prepared: PreparedData, params: ElmParams, threshold: float):
+def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
+    """Report on rows of all ingested columns, scored through the artifact."""
+    scored = preprocess.FlowDataset(
+        features=artifact.transform(data.features),
+        labels=data.labels,
+        feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
+        source=data.source,
+    )
+    return _stage("evaluate", metrics.evaluate, artifact.model, scored, threshold)
+
+
+def _fit_and_evaluate(args, prepared: PreparedData, params: ElmParams, schema):
+    """Fit on the training rows; report on the test rows through the artifact."""
     scaler = _stage("fit-scaler", preprocess.fit_scaler, prepared.train.features)
     x_train = preprocess.apply_scaler(scaler, prepared.train.features)
-    x_test = preprocess.apply_scaler(scaler, prepared.test.features)
     model = _stage("train", elm_mod.fit, x_train, prepared.train.labels, params)
-    test_ds = preprocess.FlowDataset(
-        features=x_test,
-        labels=prepared.test.labels,
-        feature_names=prepared.train.feature_names,
-        source=prepared.test.source,
-    )
-    report = _stage("evaluate", metrics.evaluate, model, test_ds, threshold)
-    return model, scaler, report
-
-
-def _build_artifact(args, prepared: PreparedData, model, scaler, schema) -> dataio.ModelArtifact:
-    return dataio.ModelArtifact(
+    artifact = dataio.ModelArtifact(
         model=model,
         selection=prepared.selection,
         scaler=scaler,
@@ -199,6 +202,7 @@ def _build_artifact(args, prepared: PreparedData, model, scaler, schema) -> data
         fingerprint=dataio.fingerprint(prepared.data),
         source=prepared.data.source,
     )
+    return artifact, _evaluate(artifact, prepared.test, args.threshold)
 
 
 def _emit_outputs(args, artifact, report) -> None:
@@ -215,7 +219,7 @@ def _emit_outputs(args, artifact, report) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def _load_and_prepare(args):
     schema = _schema_from_args(args)
     raw = _stage("load", dataio.load_csv, args.input, schema)
     data = _stage("clean", preprocess.clean, raw)
@@ -225,16 +229,18 @@ def cmd_train(args) -> int:
         seed=args.seed,
         leak_free=args.leak_free,
     )
-    prepared = prepare(data, cfg)
+    return schema, prepare(data, cfg)
+
+
+def cmd_train(args) -> int:
+    schema, prepared = _load_and_prepare(args)
     params = ElmParams(
         hidden_nodes=args.hidden,
         activation=Activation.from_name(args.activation),
         seed=args.seed,
         rbf_gamma=args.rbf_gamma,
     )
-    model, scaler, report = _fit_and_evaluate(prepared, params, args.threshold)
-    artifact = _build_artifact(args, prepared, model, scaler, schema)
-    _emit_outputs(args, artifact, report)
+    _emit_outputs(args, *_fit_and_evaluate(args, prepared, params, schema))
     return 0
 
 
@@ -249,16 +255,7 @@ def _format_grid_line(entry: model_select.GridEntry) -> str:
 
 
 def cmd_grid(args) -> int:
-    schema = _schema_from_args(args)
-    raw = _stage("load", dataio.load_csv, args.input, schema)
-    data = _stage("clean", preprocess.clean, raw)
-    cfg = PipelineConfig(
-        corr_threshold=args.corr_threshold,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-        leak_free=args.leak_free,
-    )
-    prepared = prepare(data, cfg)
+    schema, prepared = _load_and_prepare(args)
     try:
         spec = model_select.GridSpec(
             hidden_nodes=args.hidden,
@@ -274,55 +271,32 @@ def cmd_grid(args) -> int:
     print(f"Grid leaderboard ({spec.metric}, {spec.folds}-fold CV, best first):")
     for entry in result.entries:
         print(f"  {_format_grid_line(entry)}")
-    model, scaler, report = _fit_and_evaluate(prepared, result.best, args.threshold)
-    artifact = _build_artifact(args, prepared, model, scaler, schema)
-    _emit_outputs(args, artifact, report)
+    _emit_outputs(args, *_fit_and_evaluate(args, prepared, result.best, schema))
     return 0
-
-
-def _apply_artifact(artifact: dataio.ModelArtifact, features: np.ndarray) -> np.ndarray:
-    selected = features[:, list(artifact.selection.kept_indices)]
-    return preprocess.apply_scaler(artifact.scaler, selected)
 
 
 def cmd_evaluate(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
     schema = _schema_from_args(args, base=artifact.schema)
-    try:
-        raw = dataio.load_csv(args.input, schema)
-    except FileNotFoundError as exc:
-        _fail(EXIT_DATA, "load", f"file not found: {exc.filename}")
-    except SchemaError as exc:
-        _fail(
-            EXIT_DATA,
-            "load",
-            f"{exc} (evaluate needs a labeled CSV; use 'flowelm score' for unlabeled records)",
-        )
-    except DataError as exc:
-        _fail(EXIT_DATA, "load", str(exc))
-    if raw.feature_names != artifact.feature_names:
-        _fail(
-            EXIT_DATA,
-            "schema",
-            "feature columns do not match the model artifact\n"
-            f"  artifact: {list(artifact.feature_names)}\n"
-            f"  input:    {list(raw.feature_names)}",
-        )
+
+    def load_labeled():
+        try:
+            return dataio.load_csv(args.input, schema, artifact.layout)
+        except SchemaError as exc:
+            raise SchemaError(
+                f"{exc} (evaluate needs a labeled CSV; use 'flowelm score' for unlabeled records)"
+            ) from None
+
+    raw = _stage("load", load_labeled)
     finite = np.isfinite(raw.features).all(axis=1)
     skipped = int(raw.n_samples - finite.sum())
     if skipped:
-        print(f"flowelm: evaluate: skipped {skipped} record(s) with missing values", file=sys.stderr)
+        print(f"flowelm: evaluate: skipped {skipped} record(s) with missing values"
+              " or unknown category values", file=sys.stderr)
     usable = raw.subset_rows(np.where(finite)[0])
     if usable.n_samples == 0:
         _fail(EXIT_DATA, "evaluate", "no usable records after dropping missing values")
-    x = _apply_artifact(artifact, usable.features)
-    test_ds = preprocess.FlowDataset(
-        features=x,
-        labels=usable.labels,
-        feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
-        source=usable.source,
-    )
-    report = _stage("evaluate", metrics.evaluate, artifact.model, test_ds, args.threshold)
+    report = _evaluate(artifact, usable, args.threshold)
     sys.stdout.write(format_report(report))
     display_summary(report)
     if args.report:
@@ -331,72 +305,50 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _verdict(artifact: dataio.ModelArtifact, cells, n_cells: int, threshold: float) -> str:
+    """The verdict for one record's cells, without its ordinal."""
+    if cells is None:
+        return "ERROR,not a UTF-8 CSV record"
+    if len(cells) != n_cells:
+        return f"ERROR,expected {n_cells} fields, got {len(cells)}"
+    try:
+        row = artifact.layout.decode(cells if n_cells == len(artifact.layout.columns) else cells[:-1])
+    except ParseError:
+        return "ERROR,unknown category value"
+    if not all(map(math.isfinite, row)):
+        # fail closed: a nan/inf cell would otherwise get an ordinary verdict
+        return "ERROR,unparseable or non-finite numeric field"
+    value = float(elm_mod.score(artifact.model, artifact.transform(np.array([row])))[0])
+    return f"{dataio.format_float(value)},{1 if value >= threshold else 0}"
+
+
 def cmd_score(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
-    expected = list(artifact.feature_names)
-    delimiter = artifact.schema.delimiter
-    n_original = len(expected)
-    kept = np.asarray(artifact.selection.kept_indices)  # indexes each record faster than a list
-
-    if args.input == "-":
-        stream = sys.stdin
-        close = False
-    else:
-        try:
-            stream = open(args.input, encoding="utf-8")
-        except FileNotFoundError as exc:
-            _fail(EXIT_DATA, "score", f"file not found: {exc.filename}")
-        close = True
-
-    header_with_label = expected + [artifact.schema.label_column]
-    ordinal = 0
-    warnings = 0
-    label_suffix = False
+    header = list(artifact.layout.columns)
+    headers = (header, header + [artifact.schema.label_column])
+    stream = sys.stdin.buffer if args.input == "-" else _stage("score", open, args.input, "rb")
+    n_cells = len(header)
+    ordinal = errors = 0
     first = True
     try:
         for line in stream:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(delimiter)]
+            cells = dataio.record_cells(line, artifact.schema.delimiter)
+            if cells == []:
+                continue  # blank line
             if first:
                 first = False
-                if cells == expected:
+                if cells is not None and [c.strip() for c in cells] in headers:
+                    n_cells = len(cells)  # a label column's values are then ignored
                     continue
-                if cells == header_with_label:
-                    label_suffix = True
-                    continue
-            want = n_original + (1 if label_suffix else 0)
-            if len(cells) != want:
-                print(f"{ordinal},ERROR,expected {want} fields, got {len(cells)}")
-                warnings += 1
-                ordinal += 1
-                continue
-            try:
-                values = [float(c) for c in cells[:n_original]]
-            except ValueError:
-                print(f"{ordinal},ERROR,unparseable numeric field")
-                warnings += 1
-                ordinal += 1
-                continue
-            record = np.array(values)
-            if not np.isfinite(record).all():
-                # fail closed: a nan/inf cell would otherwise get an ordinary verdict
-                print(f"{ordinal},ERROR,non-finite numeric field")
-                warnings += 1
-                ordinal += 1
-                continue
-            row = record[kept].reshape(1, -1)
-            scaled = preprocess.apply_scaler(artifact.scaler, row)
-            value = float(elm_mod.score(artifact.model, scaled)[0])
-            label = 1 if value >= args.threshold else 0
-            print(f"{ordinal},{dataio.format_float(value)},{label}", flush=True)
+            verdict = _verdict(artifact, cells, n_cells, args.threshold)
+            errors += verdict.startswith("ERROR")
+            print(f"{ordinal},{verdict}", flush=True)
             ordinal += 1
     finally:
-        if close:
+        if stream is not sys.stdin.buffer:
             stream.close()
-    if warnings:
-        print(f"flowelm: score: {warnings} malformed record(s) skipped", file=sys.stderr)
+    if errors:
+        print(f"flowelm: score: {errors} malformed record(s) skipped", file=sys.stderr)
     return 0
 
 
@@ -525,10 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attack mix as NAME=WEIGHT pairs, comma-separated")
     p_synth.set_defaults(func=cmd_synth)
 
+    parser.commands = [p_train, p_grid, p_eval, p_score, p_synth]
     return parser
-
-
-_CONFIG_BOOLEAN_KEYS = {"leak_free"}
 
 
 def _apply_config_file(parser, argv):
@@ -541,37 +491,34 @@ def _apply_config_file(parser, argv):
             path = token.split("=", 1)[1]
     if path is None:
         return
-    if not os.path.exists(path):
-        parser.error(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [raw.strip() for raw in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
     defaults = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                parser.error(f"bad config line {line!r}; expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key in _CONFIG_BOOLEAN_KEYS:
-                defaults[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                defaults[key] = value
-    for action_parser in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest: a for a in action_parser._actions}
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            parser.error(f"bad config line {line!r}; expected key=value")
+        key, _, value = line.partition("=")
+        defaults[key.strip().replace("-", "_")] = value.strip()
+    for command in parser.commands:
         usable = {}
         for key, value in defaults.items():
-            if key not in known:
+            action = command.options.get(key)
+            if action is None:
                 continue
-            action = known[key]
-            if isinstance(value, str) and action.type is not None:
+            if action.nargs == 0:  # an on/off flag such as --leak-free
+                value = value.lower() in ("1", "true", "yes", "on")
+            elif action.type is not None:
                 try:
                     value = action.type(value)
                 except (TypeError, ValueError):
                     parser.error(f"bad config value for {key}: {value!r}")
             usable[key] = value
-        action_parser.set_defaults(**usable)
+        command.set_defaults(**usable)
 
 
 def main(argv=None) -> int:

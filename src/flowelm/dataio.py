@@ -1,9 +1,11 @@
 """CSV ingestion, model artifact serialization, and synthetic flow generation.
 
-CSV files are UTF-8 with a mandatory header row. Cells that fail to parse
-as numbers become NaN missing markers for clean() to drop; a column where
-no cell parses at all is treated as categorical and expanded into one-hot
-indicator columns over its sorted value vocabulary (named "column=value").
+CSV files are UTF-8 with a mandatory header row. A RecordLayout turns the
+feature cells of a record into one float row, the same way for training
+files, evaluation files and streamed records: cells that fail to parse as
+numbers become NaN missing markers for clean() to drop, and a categorical
+column (one where no cell parses as a number) expands into one-hot
+indicators over its sorted vocabulary, named "column=value".
 
 Model artifacts are a line-oriented text format, version 1, written with 17
 significant digits so every float round-trips bit-exactly. See the README
@@ -13,10 +15,12 @@ atomic rename, so failures never leave a partial artifact behind.
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -31,7 +35,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .preprocess import FeatureSelection, FlowDataset, ScalerState, binarize_labels
+from .preprocess import FeatureSelection, FlowDataset, ScalerState, apply_scaler, binarize_labels
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -57,24 +61,135 @@ class CsvSchema:
         object.__setattr__(self, "exclude_columns", tuple(self.exclude_columns))
 
 
-def _parse_cell(cell: str) -> float:
-    text = cell.strip()
-    if not text:
-        return math.nan
+@dataclass(frozen=True)
+class RecordLayout:
+    """How the feature cells of one CSV record become one model input row.
+
+    `columns` are the raw feature columns in header order. Per column,
+    `vocabularies` holds None for a numeric column, or the sorted values of
+    a categorical one, which expands into one indicator per value.
+    """
+
+    columns: tuple[str, ...]
+    vocabularies: tuple[tuple[str, ...] | None, ...]
+
+    def __post_init__(self):
+        reserved = [c for c in self.columns if "=" in c]
+        if reserved:
+            raise SchemaError(f"'=' is reserved for one-hot feature names; rename column(s) {reserved}")
+        # per column: None, or each category value's indicator tuple
+        onehots = tuple(
+            None if vocab is None else {v: tuple(float(v == w) for w in vocab) for v in vocab}
+            for vocab in self.vocabularies
+        )
+        object.__setattr__(self, "_onehots", onehots)
+
+    @classmethod
+    def from_feature_names(cls, names) -> "RecordLayout":
+        """The layout behind feature names: runs of "column=value" group into
+        one categorical column, any other name is a numeric column."""
+        columns, vocabularies = [], []
+        for name in names:
+            column, is_onehot, value = name.partition("=")
+            if not is_onehot:
+                columns.append(name)
+                vocabularies.append(None)
+            elif columns and columns[-1] == column and vocabularies[-1] is not None:
+                vocabularies[-1] += (value,)
+            else:
+                columns.append(column)
+                vocabularies.append((value,))
+        return cls(tuple(columns), tuple(vocabularies))
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(
+            name
+            for column, vocab in zip(self.columns, self.vocabularies)
+            for name in ([column] if vocab is None else [f"{column}={v}" for v in vocab])
+        )
+
+    def decode(self, cells) -> list[float]:
+        """One row from a record's feature cells: NaN for an empty or
+        unparseable numeric cell, indicators for a known category value.
+
+        Raises ParseError for a category value outside the vocabulary.
+        """
+        row = []
+        for cell, onehot in zip(cells, self._onehots):
+            if onehot is not None:
+                try:
+                    row.extend(onehot[cell.strip()])
+                except KeyError:
+                    raise ParseError(f"unknown category value {cell.strip()!r}") from None
+                continue
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(math.nan)
+        return row
+
+
+def record_cells(line: bytes, delimiter: str) -> list[str] | None:
+    """The cells of one record line, by the CSV rules load_csv reads files
+    with; [] for a blank line, None for a line that is not UTF-8 CSV."""
     try:
-        return float(text)
-    except ValueError:
-        return math.nan
+        return next(csv.reader((line.decode("utf-8"),), delimiter=delimiter), [])
+    except (UnicodeDecodeError, csv.Error):
+        return None
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> FlowDataset:
-    """Parse a labeled flow CSV into a dataset (may still contain NaN markers)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
+def _read_rows(fh, path, delimiter):
+    """Yield (line number, cells) for each non-blank row of a UTF-8 CSV file
+    open in binary mode, from its current position."""
+    reader = csv.reader((line.decode("utf-8") for line in fh), delimiter=delimiter)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}:{reader.line_num + 1}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _infer_layout(rows, n_cells, feature_pos, columns) -> RecordLayout:
+    """Categorical columns are those where no non-empty cell parses as a
+    number; reading stops once every column has shown a number."""
+    seen = {j: set() for j in range(len(columns))}  # still categorical: values so far
+    for _, row in rows:
+        if not seen:
+            break
+        if len(row) != n_cells:
+            continue  # the decoding pass reports it
+        for j in list(seen):
+            text = row[feature_pos[j]].strip()
+            if not text or text in seen[j]:
+                continue
+            try:
+                float(text)
+                del seen[j]
+            except ValueError:
+                seen[j].add(text)
+    return RecordLayout(
+        columns, tuple(tuple(sorted(seen[j])) if seen.get(j) else None for j in range(len(columns)))
+    )
+
+
+def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None = None) -> FlowDataset:
+    """Parse a labeled flow CSV into a dataset (may still contain NaN markers).
+
+    Without a layout, one is inferred from the rows in a first pass, after
+    which the file is rewound for the decoding pass, so it must be seekable.
+    With one (a model's), the header's feature columns must match it, and a
+    row with an unknown category value becomes a row of NaN markers.
+    """
+    with open(path, "rb") as fh:
+        rows = _read_rows(fh, path, schema.delimiter)
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        header = [h.strip() for h in header]
         if schema.label_column not in header:
             raise SchemaError(
                 f"{path}: no {schema.label_column!r} column; header columns: {header}"
@@ -84,50 +199,39 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> FlowDataset:
         feature_pos = [
             i for i, name in enumerate(header) if i != label_pos and name not in excluded
         ]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        columns = tuple(header[i] for i in feature_pos)
+        if layout is None:
+            layout = _infer_layout(rows, len(header), feature_pos, columns)
+            try:
+                fh.seek(0)
+            except OSError:
+                raise DataError(f"{path}: cannot rewind the input; it must be a regular file") from None
+            rows = _read_rows(fh, path, schema.delimiter)
+            next(rows)
+        elif layout.columns != columns:
+            raise DataError(
+                f"{path}: feature columns do not match the model\n"
+                f"  model: {list(layout.columns)}\n  input: {list(columns)}"
+            )
+        missing = [math.nan] * len(layout.feature_names)
+        values = array.array("d")
+        labels = []
+        for line_no, row in rows:
             if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
+                raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+            try:
+                values.extend(layout.decode([row[i] for i in feature_pos]))
+            except ParseError:
+                values.extend(missing)
+            labels.append(sys.intern(row[label_pos].strip()))
+    if not labels:
         raise DataError(f"{path}: no data rows")
-
-    raw_labels = [row[label_pos] for row in rows]
-    labels = binarize_labels(raw_labels, schema.benign_value)
-
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    n = len(rows)
-    for pos in feature_pos:
-        cells = [row[pos] for row in rows]
-        values = np.array([_parse_cell(c) for c in cells])
-        non_empty = [c.strip() for c in cells if c.strip()]
-        if non_empty and np.isnan(values).all():
-            # categorical column: one-hot over the sorted vocabulary
-            vocab = sorted(set(non_empty))
-            for value in vocab:
-                indicator = np.full(n, math.nan)
-                for i, cell in enumerate(cells):
-                    text = cell.strip()
-                    if text:
-                        indicator[i] = 1.0 if text == value else 0.0
-                names.append(f"{header[pos]}={value}")
-                columns.append(indicator)
-        else:
-            names.append(header[pos])
-            columns.append(values)
-
-    features = np.column_stack(columns) if columns else np.empty((n, 0))
     return FlowDataset(
-        features=features,
-        labels=labels,
-        feature_names=tuple(names),
+        features=np.frombuffer(values).reshape(len(labels), len(missing)),
+        labels=binarize_labels(labels, schema.benign_value),
+        feature_names=layout.feature_names,
         source=str(path),
-        categories=tuple(s.strip() for s in raw_labels),
+        categories=tuple(labels),
     )
 
 
@@ -174,8 +278,11 @@ class ModelArtifact:
     source: str = ""
     format_version: int = FORMAT_VERSION
 
+    layout: RecordLayout = field(init=False, repr=False)  # from feature_names
+
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "layout", RecordLayout.from_feature_names(self.feature_names))
         if self.format_version != FORMAT_VERSION:
             raise UnsupportedVersionError(
                 f"artifact format {self.format_version} not supported (expected {FORMAT_VERSION})"
@@ -192,6 +299,11 @@ class ModelArtifact:
             raise IntegrityError("scaler width must match the selected feature count")
         if self.model.n_features != len(kept):
             raise IntegrityError("model width must match the selected feature count")
+        object.__setattr__(self, "_kept", np.asarray(kept, dtype=np.intp))
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """Model input from decoded rows: the kept columns, z-scored."""
+        return apply_scaler(self.scaler, features.take(self._kept, axis=1))
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
@@ -233,12 +345,17 @@ def save_model(artifact: ModelArtifact, path) -> None:
         for row in matrix:
             lines.append(" ".join(format_float(v) for v in row))
     lines.append("end")
+    write_atomic(path, "\n".join(lines) + "\n")
 
+
+def write_atomic(path, text: str) -> None:
+    """Write UTF-8 text through a temp file renamed into place, so a failure
+    never leaves a partial file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".flowelm-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -249,7 +366,10 @@ def save_model(artifact: ModelArtifact, path) -> None:
 class _ArtifactReader:
     def __init__(self, path):
         with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
+            try:
+                self.lines = fh.read().splitlines()
+            except UnicodeDecodeError:
+                raise IntegrityError(f"{path}: not UTF-8 text") from None
         self.pos = 0
         self.path = path
 

@@ -9,17 +9,32 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 
-def run_cli(*args, stdin_text=None, cwd=None):
-    """Run the CLI in a subprocess and capture everything."""
+def cli_env():
+    """The CLI's environment: the source tree on the path, and stdout
+    buffered as users get it (PYTHONUNBUFFERED would hide a missing flush)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*args, stdin_text=None, cwd=None):
+    """Run the CLI in a subprocess and capture everything. stdin_text may
+    be bytes, for input that is not UTF-8."""
+    if isinstance(stdin_text, str):
+        stdin_text = stdin_text.encode("utf-8")
+    result = subprocess.run(
         [sys.executable, "-m", "flowelm", *args],
         input=stdin_text,
         capture_output=True,
-        text=True,
-        env=env,
+        env=cli_env(),
         cwd=cwd,
+    )
+    return subprocess.CompletedProcess(
+        result.args,
+        result.returncode,
+        result.stdout.decode("utf-8", "replace"),
+        result.stderr.decode("utf-8", "replace"),
     )
 
 

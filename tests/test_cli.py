@@ -1,6 +1,11 @@
+import select
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from flowelm import dataio, model_select, preprocess
 from flowelm import elm as elm_mod
 from flowelm.cli import PipelineConfig, format_report, prepare
@@ -58,6 +63,29 @@ class TestTrain:
         result = cli("train", "--input", str(small_synth_csv), "--model", str(target))
         assert result.returncode == 2
         assert not target.exists()
+
+    def test_piped_input_fails_loudly_instead_of_losing_rows(self, cli, small_synth_csv, tmp_path):
+        # the layout is inferred in a pass of its own, and a pipe cannot be rewound for the second
+        model = tmp_path / "m.flowelm"
+        result = cli(
+            "train", "--input", "/dev/stdin", "--model", str(model),
+            stdin_text=small_synth_csv.read_bytes(),
+        )
+        assert result.returncode == 2
+        assert "/dev/stdin: cannot rewind the input" in result.stderr
+        assert not model.exists()
+
+    def test_evaluate_reads_piped_input(self, cli, small_synth_csv, tmp_path):
+        # with the model's layout there is one pass, so a pipe works
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(small_synth_csv), "--model", str(model)).returncode == 0
+        from_file = cli("evaluate", "--model", str(model), "--input", str(small_synth_csv))
+        from_pipe = cli(
+            "evaluate", "--model", str(model), "--input", "/dev/stdin",
+            stdin_text=small_synth_csv.read_bytes(),
+        )
+        assert from_pipe.returncode == 0, from_pipe.stderr
+        assert from_pipe.stdout == from_file.stdout
 
     def test_leak_free_flag_accepted(self, cli, small_synth_csv, tmp_path):
         result = cli(
@@ -230,18 +258,20 @@ class TestScore:
         assert result.returncode == 0
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("bad", ["garbage", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["garbage", "nan", "inf", "-inf", "not-utf8"])
     def test_malformed_line_produces_error_verdict_and_continues(self, cli, trained, small_synth_csv, bad):
         lines = small_synth_csv.read_text().splitlines()
-        header, records = lines[0], lines[1:11]
+        header, records = lines[0], [line.encode() for line in lines[1:11]]
         if bad == "garbage":
-            records[4] = "garbage"
+            records[4] = b"garbage"
+        elif bad == "not-utf8":  # a Latin-1 byte; strict stdin decoding once ended the stream here
+            records[4] = b"\xff" + records[4]
         else:  # one non-finite feature cell in an otherwise valid record
-            cells = records[4].split(",")
-            cells[0] = bad
-            records[4] = ",".join(cells)
-        text = "\n".join([header] + records) + "\n"
-        result = cli("score", "--model", str(trained), stdin_text=text)
+            cells = records[4].split(b",")
+            cells[0] = bad.encode()
+            records[4] = b",".join(cells)
+        data = b"\n".join([header.encode()] + records) + b"\n"
+        result = cli("score", "--model", str(trained), stdin_text=data)
         assert result.returncode == 0
         out = result.stdout.splitlines()
         assert len(out) == 10
@@ -249,6 +279,33 @@ class TestScore:
         good = [l for l in out if l.split(",")[1] != "ERROR"]
         assert len(good) == 9
         assert "1 malformed record(s)" in result.stderr
+
+    def test_non_utf8_line_in_input_file_gets_error(self, cli, trained, small_synth_csv, tmp_path):
+        lines = small_synth_csv.read_bytes().splitlines()[:4]
+        lines[2] = b"caf\xe9," + lines[2]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = cli("score", "--model", str(trained), "--input", str(path))
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert [line.split(",")[1] == "ERROR" for line in out] == [False, True, False]
+
+    def test_error_verdict_arrives_while_stdin_stays_open(self, trained):
+        # stdout is a pipe and PYTHONUNBUFFERED is unset, as for a real consumer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flowelm", "score", "--model", str(trained)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=cli_env(),
+        )
+        try:
+            proc.stdin.write(b"garbage\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "the ERROR verdict waited for more input"
+            assert proc.stdout.readline().startswith(b"0,ERROR,")
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=30)
+            proc.stdout.close()
 
     def test_headerless_records_accepted(self, cli, trained, small_synth_csv):
         lines = small_synth_csv.read_text().splitlines()[1:4]
@@ -266,6 +323,80 @@ class TestScore:
         result = cli("score", "--model", str(trained), stdin_text=header)
         assert result.returncode == 0
         assert result.stdout == ""
+
+
+class TestCategoricalModel:
+    """A model trained with a categorical column scores raw records."""
+
+    @pytest.fixture
+    def proto_csv(self, tmp_path):
+        rs = np.random.RandomState(3)
+        lines = ["rate,proto,size,Label"]
+        for i in range(300):
+            attack = i % 2
+            proto = rs.choice(["tcp", "udp"], p=[0.2, 0.8] if attack else [0.8, 0.2])
+            rate, size = rs.normal(4 + 3 * attack, 1.5), rs.normal(500 - 80 * attack, 90)
+            lines.append(f"{rate:.4g},{proto},{size:.5g},{'DDoS' if attack else 'Benign'}")
+        path = tmp_path / "proto.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.fixture
+    def model(self, cli, proto_csv, tmp_path):
+        model = tmp_path / "proto.flowelm"
+        result = cli("train", "--input", str(proto_csv), "--model", str(model), "--hidden", "16")
+        assert result.returncode == 0, result.stderr
+        assert "feature=proto=tcp\nfeature=proto=udp\n" in model.read_text()
+        return model
+
+    def test_score_labels_equal_evaluate_labels(self, cli, model, proto_csv):
+        stream = cli("score", "--model", str(model), "--input", str(proto_csv))
+        assert stream.returncode == 0, stream.stderr
+        labels = np.array([int(line.split(",")[2]) for line in stream.stdout.splitlines()])
+
+        artifact = dataio.load_model(model)
+        data = dataio.load_csv(proto_csv, artifact.schema, artifact.layout)
+        assert np.array_equal(labels, elm_mod.predict(artifact.model, artifact.transform(data.features)))
+        evaluation = cli("evaluate", "--model", str(model), "--input", str(proto_csv))
+        assert evaluation.returncode == 0, evaluation.stderr
+        counts = dict(line.split("=") for line in evaluation.stdout.splitlines() if line[:3] in ("tp=", "fp="))
+        assert int(counts["tp"]) == int(((labels == 1) & (data.labels == 1)).sum())
+        assert int(counts["fp"]) == int(((labels == 1) & (data.labels == 0)).sum())
+
+    def test_raw_records_and_raw_header(self, cli, model):
+        text = "rate,proto,size\n4.1,tcp,500\n 9.5 , udp ,380\n4.1,1,0,500\n"
+        result = cli("score", "--model", str(model), stdin_text=text)
+        out = [line.split(",") for line in result.stdout.splitlines()]
+        assert [o[0] for o in out] == ["0", "1", "2"]
+        assert out[0][1] != "ERROR" and out[1][1] != "ERROR"
+        assert out[2][1:] == ["ERROR", "expected 3 fields", " got 4"]  # one-hot cells are not a record
+
+    def test_evaluate_on_one_category_exits_0(self, cli, model, proto_csv, tmp_path):
+        lines = proto_csv.read_text().splitlines()
+        tcp_only = tmp_path / "tcp.csv"
+        tcp_only.write_text("\n".join([lines[0]] + [l for l in lines[1:] if ",tcp," in l]) + "\n")
+        result = cli("evaluate", "--model", str(model), "--input", str(tcp_only))
+        assert result.returncode == 0, result.stderr
+        assert "skipped" not in result.stderr
+
+    @pytest.mark.parametrize("value", ["icmp", "", "TCP"])
+    def test_unknown_category_fails_closed(self, cli, model, proto_csv, tmp_path, value):
+        result = cli("score", "--model", str(model), stdin_text=f"4.1,tcp,500\n4.1,{value},500\n")
+        assert result.stdout.splitlines()[1] == "1,ERROR,unknown category value"
+        lines = proto_csv.read_text().splitlines()
+        lines[5] = f"4.1,{value},500,Benign"
+        dirty = tmp_path / "unseen.csv"
+        dirty.write_text("\n".join(lines) + "\n")
+        result = cli("evaluate", "--model", str(model), "--input", str(dirty))
+        assert result.returncode == 0, result.stderr
+        assert "skipped 1 record(s)" in result.stderr
+
+    def test_equals_sign_in_column_name_rejected(self, cli, tmp_path):
+        path = tmp_path / "eq.csv"
+        path.write_text("a=b,c,Label\n1,2,Benign\n2,1,DDoS\n3,1,DDoS\n1,3,Benign\n")
+        result = cli("train", "--input", str(path), "--model", str(tmp_path / "m"))
+        assert result.returncode == 2
+        assert "'a=b'" in result.stderr
 
 
 class TestSynth:
@@ -400,11 +531,44 @@ class TestExitCodeMapping:
             (DataError("bad rows"), 2),
             (ShapeError("bad shape"), 2),
             (FileNotFoundError(2, "missing", "x.csv"), 2),
+            (IsADirectoryError(21, "is a directory", "flows"), 2),
         ]
         for exc, expected in cases:
             with pytest.raises(_StageFailure) as info:
                 _stage("unit", raiser(exc))
             assert info.value.code == expected
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_directory_input_exits_2(self, cli, small_synth_csv, tmp_path, command):
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(small_synth_csv), "--model", str(model)).returncode == 0
+        result = cli(command, "--model", str(model), "--input", str(tmp_path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("config", ["directory", "not-utf8"])
+    def test_unreadable_config_is_usage_error(self, cli, small_synth_csv, tmp_path, config):
+        path = tmp_path / "defaults.cfg"
+        if config == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seed=\xff\n")
+        result = cli("train", "--config", str(path), "--input", str(small_synth_csv), "--model", "m")
+        assert result.returncode == 1
+        assert "cannot read config file" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_non_utf8_csv_exits_2_naming_file_and_line(self, cli, small_synth_csv, tmp_path, command):
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(small_synth_csv), "--model", str(model)).returncode == 0
+        lines = small_synth_csv.read_bytes().splitlines()
+        lines[3] = lines[3].replace(b"Benign", b"B\xe9nign")
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"\n".join(lines) + b"\n")
+        result = cli(command, "--input", str(latin1), "--model", str(model))
+        assert result.returncode == 2
+        assert "latin1.csv:4:" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestReportFormat:

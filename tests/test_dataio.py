@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowelm import dataio, elm
-from flowelm.dataio import CsvSchema, ModelArtifact, SyntheticSpec
+from flowelm.dataio import CsvSchema, ModelArtifact, RecordLayout, SyntheticSpec
 from flowelm.elm import Activation, ElmParams
 from flowelm.errors import (
     DataError,
@@ -68,6 +68,44 @@ class TestLoadCsv:
         assert np.array_equal(ds.features[:, 1], [1.0, 0.0, 1.0])
         assert np.array_equal(ds.features[:, 2], [0.0, 1.0, 0.0])
 
+    def test_numeric_column_with_leading_junk_stays_numeric(self, tmp_path):
+        path = write(tmp_path, "f1,f2,Label\nn/a,x,Benign\n,y,DoS\n2.5,x,Benign\n")
+        ds = dataio.load_csv(path)
+        assert ds.feature_names == ("f1", "f2=x", "f2=y")
+        assert np.isnan(ds.features[:2, 0]).all() and ds.features[2, 0] == 2.5
+
+    def test_empty_category_cell_becomes_missing_row(self, tmp_path):
+        path = write(tmp_path, "rate,proto,Label\n1.5,TCP,Benign\n2.5,,DoS\n3.5,UDP,Benign\n")
+        ds = dataio.load_csv(path)
+        assert ds.feature_names == ("rate", "proto=TCP", "proto=UDP")
+        assert np.isnan(ds.features[1]).all()
+        assert np.array_equal(ds.features[2], [3.5, 0.0, 1.0])
+
+    def test_equals_sign_in_feature_column_rejected(self, tmp_path):
+        path = write(tmp_path, "rate,proto=tcp,Label\n1,1,Benign\n")
+        with pytest.raises(SchemaError, match="proto=tcp"):
+            dataio.load_csv(path)
+
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"f1,Label\n1,Benign\n2,Benign\n3,caf\xe9\n")
+        with pytest.raises(ParseError, match="latin1.csv:4:"):
+            dataio.load_csv(path)
+
+    def test_given_layout_decodes_without_inference(self, tmp_path):
+        layout = RecordLayout(("rate", "proto"), (None, ("tcp", "udp")))
+        path = write(tmp_path, "rate,proto,Label\n1.5,tcp,Benign\n2.5,icmp,DoS\n3.5,tcp,Benign\n")
+        ds = dataio.load_csv(path, CsvSchema(), layout)
+        assert ds.feature_names == ("rate", "proto=tcp", "proto=udp")  # udp is absent from the file
+        assert np.array_equal(ds.features[[0, 2]], [[1.5, 1.0, 0.0], [3.5, 1.0, 0.0]])
+        assert np.isnan(ds.features[1]).all()  # unknown category value
+
+    def test_given_layout_must_match_header(self, tmp_path):
+        layout = RecordLayout(("rate", "size"), (None, None))
+        path = write(tmp_path, "size,rate,Label\n1,2,Benign\n")
+        with pytest.raises(DataError, match="do not match"):
+            dataio.load_csv(path, CsvSchema(), layout)
+
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(SchemaError, match="Label"):
@@ -107,6 +145,33 @@ class TestLoadCsv:
             path = write(tmp_path, "a,b,c,Label\n" + "\n".join(rows) + "\n", f"fuzz{trial}.csv")
             ds = dataio.load_csv(path)
             assert ds.n_samples == 5
+
+
+class TestRecordLayout:
+    def test_feature_names_round_trip(self):
+        names = ("rate", "proto=tcp", "proto=udp", "size", "flag=a=b")
+        layout = RecordLayout.from_feature_names(names)
+        assert layout.columns == ("rate", "proto", "size", "flag")
+        assert layout.vocabularies == (None, ("tcp", "udp"), None, ("a=b",))
+        assert layout.feature_names == names
+
+    def test_decode(self):
+        layout = RecordLayout(("rate", "proto", "size"), (None, ("tcp", "udp"), None))
+        assert layout.decode(["1.5", " udp ", "7"]) == [1.5, 0.0, 1.0, 7.0]
+        row = layout.decode(["", "tcp", "junk"])
+        assert np.isnan(row[0]) and row[1:3] == [1.0, 0.0] and np.isnan(row[3])
+        for unknown in ("icmp", "", "TCP"):
+            with pytest.raises(ParseError, match="unknown category"):
+                layout.decode(["1", unknown, "2"])
+
+    def test_numeric_decode_keeps_literals(self):
+        row = RecordLayout(("a", "b", "c"), (None, None, None)).decode(["inf", "-1e3", "nan"])
+        assert row[0] == np.inf and row[1] == -1000.0 and np.isnan(row[2])
+
+    def test_record_cells_follow_csv_quoting(self):
+        assert dataio.record_cells(b'1,"a,b",2\r\n', ",") == ["1", "a,b", "2"]
+        assert dataio.record_cells(b"\n", ",") == []
+        assert dataio.record_cells(b"1,caf\xe9\n", ",") is None
 
 
 def make_artifact(seed=3):
@@ -180,6 +245,30 @@ class TestModelArtifact:
     def test_not_a_model_file(self, tmp_path):
         path = write(tmp_path, "hello world\n", "junk.txt")
         with pytest.raises(IntegrityError):
+            dataio.load_model(path)
+
+    def test_transform_selects_then_scales(self):
+        artifact = make_artifact()
+        rows = np.random.RandomState(4).randn(5, 4)
+        expected = (rows[:, [0, 2, 3]] - artifact.scaler.means) / artifact.scaler.stds
+        assert np.array_equal(artifact.transform(rows), expected)
+        assert artifact.layout.columns == ("a", "b", "c", "d")
+
+    def test_non_utf8_artifact_rejected(self, tmp_path):
+        artifact = make_artifact()
+        path = tmp_path / "m.flowelm"
+        dataio.save_model(artifact, path)
+        path.write_bytes(path.read_bytes().replace(b"meta.source=unit-test", b"meta.source=\xff"))
+        with pytest.raises(IntegrityError):
+            dataio.load_model(path)
+
+    def test_huge_selection_index_rejected(self, tmp_path):
+        artifact = make_artifact()
+        path = tmp_path / "m.flowelm"
+        dataio.save_model(artifact, path)
+        text = path.read_text().replace("selection.kept=0 2 3", "selection.kept=0 2 " + "9" * 30)
+        path.write_text(text)
+        with pytest.raises(IntegrityError, match="out of range"):
             dataio.load_model(path)
 
     def test_artifact_validation_catches_scaler_width(self):

@@ -1,0 +1,110 @@
+"""Property tests: stream and batch verdicts agree on random records, and
+records that cannot be scored fail closed with ERROR.
+
+The CLI runs in-process (`flowelm.cli.main`) so that each example is cheap.
+The model has a numeric, a categorical and another numeric column.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowelm import cli, dataio, elm
+
+PROTOCOLS = ("icmp", "tcp", "udp")
+
+finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+records = st.lists(
+    st.tuples(finite, st.sampled_from(PROTOCOLS), finite, st.booleans()), min_size=1, max_size=25
+)
+non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity", "-INF "])
+unknown_category = st.text(alphabet="abcdefpstu TCPU", max_size=6).filter(
+    lambda text: text.strip() not in PROTOCOLS
+)
+# (cell index, replacement) or (None, +1/-1 cells)
+mutations = st.one_of(
+    st.tuples(st.sampled_from([0, 2]), non_finite),
+    st.tuples(st.just(1), unknown_category),
+    st.tuples(st.none(), st.sampled_from([-1, 1])),
+)
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def cells_of(record):
+    rate, proto, size, _ = record
+    return [repr(rate), proto, repr(size)]
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    work = tmp_path_factory.mktemp("properties")
+    rs = np.random.RandomState(5)
+    lines = ["rate,proto,size,Label"]
+    for i in range(240):
+        attack = i % 2
+        proto = rs.choice(PROTOCOLS, p=[0.1, 0.2, 0.7] if attack else [0.3, 0.6, 0.1])
+        rate, size = rs.normal(4 + 3 * attack, 2.0), rs.normal(500 - 80 * attack, 120)
+        lines.append(f"{rate:.5g},{proto},{size:.5g},{'DDoS' if attack else 'Benign'}")
+    (work / "train.csv").write_text("\n".join(lines) + "\n")
+    code, _, err = run("train", "--input", work / "train.csv", "--model", work / "m.flowelm",
+                       "--hidden", "12", "--corr-threshold", "0", "--seed", "2")
+    assert code == 0, err
+    return work / "m.flowelm", work
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+def test_stream_labels_equal_batch_labels(model, records):
+    path, work = model
+    capture = work / "labeled.csv"
+    labeled = [(r, r[3]) for r in records] + [(records[0], False), (records[0], True)]  # for the AUC
+    rows = [",".join(cells_of(r) + ["DDoS" if attack else "Benign"]) for r, attack in labeled]
+    capture.write_text("\n".join(["rate,proto,size,Label"] + rows) + "\n")
+
+    code, out, err = run("score", "--model", path, "--input", capture)
+    assert code == 0, err
+    stream = np.array([int(line.split(",")[2]) for line in out.splitlines()])
+
+    artifact = dataio.load_model(path)
+    data = dataio.load_csv(capture, artifact.schema, artifact.layout)
+    assert np.array_equal(stream, elm.predict(artifact.model, artifact.transform(data.features)))
+
+    code, out, err = run("evaluate", "--model", path, "--input", capture)
+    assert code == 0, err
+    report = dict(line.split("=", 1) for line in out.splitlines() if "=" in line and ":" not in line)
+    truth = data.labels
+    assert int(report["tp"]) == int(((stream == 1) & (truth == 1)).sum())
+    assert int(report["fp"]) == int(((stream == 1) & (truth == 0)).sum())
+    assert int(report["n_samples"]) == len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records, st.data(), mutations)
+def test_bad_record_gets_error_and_the_stream_goes_on(model, records, data, mutation):
+    path, work = model
+    lines = [cells_of(r) for r in records]
+    bad = data.draw(st.integers(0, len(lines) - 1))
+    position, change = mutation
+    if position is None:
+        lines[bad] = lines[bad][:-1] if change < 0 else lines[bad] + ["1"]
+    else:
+        lines[bad][position] = change
+    stream = work / "records.csv"
+    stream.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+
+    code, out, err = run("score", "--model", path, "--input", stream)
+    assert code == 0, err
+    verdicts = [line.split(",") for line in out.splitlines()]
+    assert [v[0] for v in verdicts] == [str(i) for i in range(len(lines))]
+    assert [i for i, v in enumerate(verdicts) if v[1] == "ERROR"] == [bad]
+    assert "1 malformed record(s)" in err
