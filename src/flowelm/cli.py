@@ -125,7 +125,8 @@ def display_summary(report: EvalReport, out=None) -> None:
     print(f"  Precision   {report.precision:.2f}", file=out)
     print(f"  Recall      {report.recall:.2f}", file=out)
     print(f"  F1-score    {report.f1:.2f}", file=out)
-    print(f"  AUC-ROC     {report.auc_roc:.3f}", file=out)
+    auc = "n/a" if math.isnan(report.auc_roc) else f"{report.auc_roc:.3f}"
+    print(f"  AUC-ROC     {auc}", file=out)
     width = max(len(str(v)) for v in (cm.tp, cm.fp, cm.tn, cm.fn))
     print("Confusion matrix (rows actual, columns predicted; attack first):", file=out)
     print(f"  attack  {cm.tp:>{width}}  {cm.fn:>{width}}", file=out)
@@ -305,21 +306,58 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _verdict(artifact: dataio.ModelArtifact, cells, n_cells: int, threshold: float) -> str:
-    """The verdict for one record's cells, without its ordinal."""
+# The most bytes `score` takes from one read; the records in it are scored
+# in one model evaluation.
+_READ_SIZE = 1 << 16
+
+
+def _line_blocks(stream):
+    """The complete lines of each read of a binary stream, one list per
+    read that ends a line. A read takes what has arrived and never waits
+    for more; an unfinished last line waits for the next read, or for EOF."""
+    partial = []  # the unfinished last line, in pieces
+    while chunk := stream.read1(_READ_SIZE):
+        *lines, rest = chunk.split(b"\n")
+        if lines:
+            lines[0] = b"".join(partial) + lines[0]
+            partial = []
+            yield lines
+        partial.append(rest)
+    if any(partial):
+        yield [b"".join(partial)]
+
+
+def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
+    """The decoded row of one record's cells, or the reason it gets ERROR."""
     if cells is None:
-        return "ERROR,not a UTF-8 CSV record"
+        return "not a UTF-8 CSV record"
     if len(cells) != n_cells:
-        return f"ERROR,expected {n_cells} fields, got {len(cells)}"
+        return f"expected {n_cells} fields, got {len(cells)}"
     try:
         row = artifact.layout.decode(cells if n_cells == len(artifact.layout.columns) else cells[:-1])
     except ParseError:
-        return "ERROR,unknown category value"
+        return "unknown category value"
     if not all(map(math.isfinite, row)):
         # fail closed: a nan/inf cell would otherwise get an ordinary verdict
-        return "ERROR,unparseable or non-finite numeric field"
-    value = float(elm_mod.score(artifact.model, artifact.transform(np.array([row])))[0])
-    return f"{dataio.format_float(value)},{1 if value >= threshold else 0}"
+        return "unparseable or non-finite numeric field"
+    return row
+
+
+def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> str:
+    """The verdict lines of (ordinal, row or ERROR reason) records, their
+    rows scored in one model evaluation."""
+    rows = [row for _, row in records if not isinstance(row, str)]
+    scores = iter(
+        elm_mod.score(artifact.model, artifact.transform(np.array(rows))).tolist() if rows else ()
+    )
+    lines = []
+    for ordinal, row in records:
+        if isinstance(row, str):
+            lines.append(f"{ordinal},ERROR,{row}\n")
+        else:
+            value = next(scores)
+            lines.append(f"{ordinal},{dataio.format_float(value)},{1 if value >= threshold else 0}\n")
+    return "".join(lines)
 
 
 def cmd_score(args) -> int:
@@ -331,19 +369,24 @@ def cmd_score(args) -> int:
     ordinal = errors = 0
     first = True
     try:
-        for line in stream:
-            cells = dataio.record_cells(line, artifact.schema.delimiter)
-            if cells == []:
-                continue  # blank line
-            if first:
-                first = False
-                if cells is not None and [c.strip() for c in cells] in headers:
-                    n_cells = len(cells)  # a label column's values are then ignored
-                    continue
-            verdict = _verdict(artifact, cells, n_cells, args.threshold)
-            errors += verdict.startswith("ERROR")
-            print(f"{ordinal},{verdict}", flush=True)
-            ordinal += 1
+        for lines in _line_blocks(stream):
+            records = []
+            for line in lines:
+                cells = dataio.record_cells(line, artifact.schema.delimiter)
+                if cells == []:
+                    continue  # blank line
+                if first:
+                    first = False
+                    if cells is not None and [c.strip() for c in cells] in headers:
+                        n_cells = len(cells)  # a label column's values are then ignored
+                        continue
+                row = _record_row(artifact, cells, n_cells)
+                errors += isinstance(row, str)
+                records.append((ordinal, row))
+                ordinal += 1
+            if records:
+                sys.stdout.write(_verdict_lines(artifact, records, args.threshold))
+                sys.stdout.flush()
     finally:
         if stream is not sys.stdin.buffer:
             stream.close()

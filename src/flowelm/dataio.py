@@ -365,9 +365,11 @@ def write_atomic(path, text: str) -> None:
 
 class _ArtifactReader:
     def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
+        # "\n" is the only line break save_model writes; a feature name may
+        # hold any other character that str.splitlines() would break at
+        with open(path, encoding="utf-8", newline="") as fh:
             try:
-                self.lines = fh.read().splitlines()
+                self.lines = fh.read().split("\n")
             except UnicodeDecodeError:
                 raise IntegrityError(f"{path}: not UTF-8 text") from None
         self.pos = 0

@@ -5,11 +5,13 @@ denominator fall back to 0.0 and set the `degenerate` flag on the report,
 since tiny folds can legitimately produce empty prediction classes. AUC is
 the rank statistic (probability a random positive outscores a random
 negative, ties counting one half), which equals the trapezoidal area under
-the ROC curve.
+the ROC curve. A report on rows of one class only (an attack-only capture)
+has AUC NaN, and is degenerate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +144,7 @@ def evaluate(model: elm.ElmModel, test: FlowDataset, threshold: float = 0.5) -> 
         precision=precision,
         recall=recall,
         f1=f1,
-        auc_roc=auc_roc(test.labels, scores),
+        auc_roc=auc_roc(test.labels, scores) if cm.tp + cm.fn and cm.fp + cm.tn else math.nan,
         threshold=threshold,
         n_samples=test.n_samples,
         neg_precision=neg_precision,

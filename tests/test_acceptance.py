@@ -234,7 +234,8 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_batch_stream_equivalence(tmp_path):
-    """Streaming verdict labels equal the batch evaluation predictions."""
+    """Streaming verdict labels equal the batch evaluation predictions, and
+    stream scores equal batch scores bit for bit."""
     csv_path = tmp_path / "flows.csv"
     dataio.write_csv(
         dataio.generate_synthetic(dataio.SyntheticSpec(n_benign=200, n_attack=200, seed=7)),
@@ -256,6 +257,9 @@ def test_criterion_8_batch_stream_equivalence(tmp_path):
     )
     batch_labels = list(elm.predict(artifact.model, x, 0.5))
     assert stream_labels == batch_labels
+    # a record's score does not depend on the records scored with it
+    stream_scores = [line.split(",")[1] for line in stream.stdout.splitlines()]
+    assert stream_scores == [dataio.format_float(s) for s in elm.score(artifact.model, x)]
 
     evaluation = run_cli("evaluate", "--model", str(model_path), "--input", str(csv_path))
     assert evaluation.returncode == 0

@@ -1,6 +1,8 @@
+import math
 import select
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +227,24 @@ class TestEvaluate:
         )
         assert int(values["n_samples"]) == len(lines) - 2  # header and bad row
 
+    def test_attack_only_capture_reports_recall(self, cli, strongly_separated_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        cli("train", "--input", str(strongly_separated_csv), "--model", str(model), "--hidden", "24")
+        lines = strongly_separated_csv.read_text().splitlines()
+        attacks = [line for line in lines[1:] if not line.endswith(",Benign")]
+        capture = tmp_path / "attacks.csv"
+        capture.write_text("\n".join([lines[0]] + attacks) + "\n")
+        report_path = tmp_path / "attacks.report.txt"
+        result = cli("evaluate", "--model", str(model), "--input", str(capture), "--report", str(report_path))
+        assert result.returncode == 0, result.stderr
+        values = read_report(report_path)
+        tp, fn = int(values["tp"]), int(values["fn"])
+        assert (tp + fn, int(values["fp"]), int(values["tn"])) == (len(attacks), 0, 0)
+        assert float(values["recall"]) == tp / len(attacks)
+        assert math.isnan(float(values["auc_roc"]))
+        assert values["degenerate"] == "1"
+        assert "AUC-ROC     n/a" in result.stdout
+
 
 class TestScore:
     @pytest.fixture
@@ -247,6 +267,8 @@ class TestScore:
         )
         batch_labels = list(elm_mod.predict(artifact.model, x, 0.5))
         assert stream_labels == batch_labels
+        # the file takes more than one read, yet every score has the batch bits
+        assert [v[1] for v in verdicts] == [dataio.format_float(s) for s in elm_mod.score(artifact.model, x)]
 
     def test_ordinals_contiguous_from_zero(self, cli, trained, small_synth_csv):
         result = cli("score", "--model", str(trained), "--input", str(small_synth_csv))
@@ -306,6 +328,70 @@ class TestScore:
             proc.stdin.close()
             proc.wait(timeout=30)
             proc.stdout.close()
+
+    @staticmethod
+    def start_scorer(model):
+        return subprocess.Popen(
+            [sys.executable, "-m", "flowelm", "score", "--model", str(model)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=cli_env(),
+        )
+
+    @staticmethod
+    def next_verdict(proc):
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no verdict within 30 s"
+        return proc.stdout.readline()
+
+    def test_stdout_identical_however_the_input_arrives(self, cli, trained, small_synth_csv, tmp_path):
+        lines = small_synth_csv.read_bytes().splitlines()[:121]
+        lines[8] = b"garbage"
+        lines[31] = b"nan," + lines[31].split(b",", 1)[1]
+        lines.insert(50, b"")  # a blank line gets no verdict
+        data = b"\n".join(lines) + b"\n"
+        path = tmp_path / "records.csv"
+        path.write_bytes(data)
+        from_file = cli("score", "--model", str(trained), "--input", str(path))
+        assert from_file.returncode == 0, from_file.stderr
+        expected = from_file.stdout.encode()
+        assert len(expected.splitlines()) == 120 and expected.count(b",ERROR,") == 2
+
+        # one record per write, each answered before the next is sent
+        proc = self.start_scorer(trained)
+        out = []
+        for i, line in enumerate(lines):
+            proc.stdin.write(line + b"\n")
+            proc.stdin.flush()
+            if i and line:  # the header and the blank line get no verdict
+                out.append(self.next_verdict(proc))
+        out.append(proc.communicate(timeout=60)[0])
+        assert b"".join(out) == expected
+
+        # irregular chunks that cut records mid-line, once the scorer is up
+        proc = self.start_scorer(trained)
+        pos = len(lines[0]) + len(lines[1]) + 2
+        proc.stdin.write(data[:pos])
+        proc.stdin.flush()
+        first = self.next_verdict(proc)
+        steps = np.random.RandomState(4).randint(1, 400, size=len(data))
+        for step in steps:
+            if pos >= len(data):
+                break
+            proc.stdin.write(data[pos : pos + step])
+            proc.stdin.flush()
+            time.sleep(0.001)
+            pos += step
+        assert first + proc.communicate(timeout=60)[0] == expected
+
+    def test_last_line_without_newline_gets_its_verdict(self, cli, trained, small_synth_csv, tmp_path):
+        data = "\n".join(small_synth_csv.read_text().splitlines()[:4])
+        piped = cli("score", "--model", str(trained), stdin_text=data)
+        path = tmp_path / "records.csv"
+        path.write_text(data)
+        from_file = cli("score", "--model", str(trained), "--input", str(path))
+        assert piped.returncode == from_file.returncode == 0
+        assert [line.split(",")[0] for line in piped.stdout.splitlines()] == ["0", "1", "2"]
+        assert "ERROR" not in piped.stdout
+        assert piped.stdout == from_file.stdout
 
     def test_headerless_records_accepted(self, cli, trained, small_synth_csv):
         lines = small_synth_csv.read_text().splitlines()[1:4]
@@ -390,6 +476,27 @@ class TestCategoricalModel:
         result = cli("evaluate", "--model", str(model), "--input", str(dirty))
         assert result.returncode == 0, result.stderr
         assert "skipped 1 record(s)" in result.stderr
+
+    def test_category_values_holding_unicode_line_breaks(self, cli, proto_csv, tmp_path):
+        # str.splitlines() breaks at U+0085, U+2028 and \x1c; the artifact has only "\n" breaks
+        text = proto_csv.read_text().replace(",udp,", ",u\x85dp,").replace(",tcp,", ",t\u2028c\x1cp,")
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8")
+        model = tmp_path / "odd.flowelm"
+        result = cli("train", "--input", str(path), "--model", str(model), "--hidden", "16")
+        assert result.returncode == 0, result.stderr
+        artifact = dataio.load_model(model)
+        assert artifact.layout.vocabularies[1] == ("t\u2028c\x1cp", "u\x85dp")
+
+        evaluation = cli("evaluate", "--model", str(model), "--input", str(path))
+        assert evaluation.returncode == 0, evaluation.stderr
+        stream = cli("score", "--model", str(model), "--input", str(path))
+        assert stream.returncode == 0, stream.stderr
+        labels = np.array([int(line.split(",")[2]) for line in stream.stdout.splitlines()])
+        data = dataio.load_csv(path, artifact.schema, artifact.layout)
+        assert len(labels) == data.n_samples == 300
+        tp = next(int(line[3:]) for line in evaluation.stdout.splitlines() if line.startswith("tp="))
+        assert tp == int(((labels == 1) & (data.labels == 1)).sum())
 
     def test_equals_sign_in_column_name_rejected(self, cli, tmp_path):
         path = tmp_path / "eq.csv"

@@ -193,3 +193,19 @@ class TestScorePredict:
             # raising the threshold never turns a 0 into a 1
             assert not ((previous == 0) & (current == 1)).any()
             previous = current
+
+
+class TestScoreIndependentOfBatch:
+    """A row's score has the same bits however the rows are grouped."""
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_row_bits_equal_alone_in_blocks_and_in_full_batch(self, activation):
+        rs = np.random.RandomState(8)
+        x = rs.randn(203, 7)
+        model = elm.fit(x, (x[:, 0] + x[:, 1] > 0).astype(int), params(24, activation, seed=3))
+        full = elm.score(model, x).tobytes()
+        assert np.concatenate([elm.score(model, x[i : i + 1]) for i in range(len(x))]).tobytes() == full
+        for size in range(1, 18):
+            blocks = [elm.score(model, x[i : i + size]) for i in range(0, len(x), size)]
+            assert np.concatenate(blocks).tobytes() == full, f"blocks of {size} rows"
+        assert elm.score(model, x[:200]).tobytes() == full[: 200 * 8]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ class TestEvaluate:
         cm = metrics.confusion(ds.labels, elm.predict(model, ds.features, 0.5))
         assert report.confusion == cm
         assert report.accuracy == metrics.accuracy(cm)
+
+    def test_one_class_rows_give_nan_auc_and_a_degenerate_report(self):
+        model, ds = self.make_interpolating()
+        attacks = ds.subset_rows(np.where(ds.labels == 1)[0])
+        report = metrics.evaluate(model, attacks, 0.5)
+        assert report.confusion == ConfusionMatrix(tp=attacks.n_samples, fp=0, tn=0, fn=0)
+        assert report.recall == 1.0
+        assert math.isnan(report.auc_roc)
+        assert report.degenerate
 
     def test_empty_test_set_rejected(self):
         model, ds = self.make_interpolating()
