@@ -329,8 +329,8 @@ def _line_blocks(stream):
 
 def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
     """The decoded row of one record's cells, or the reason it gets ERROR."""
-    if cells is None:
-        return "not a UTF-8 CSV record"
+    if isinstance(cells, str):
+        return cells
     if len(cells) != n_cells:
         return f"expected {n_cells} fields, got {len(cells)}"
     try:
@@ -377,7 +377,7 @@ def cmd_score(args) -> int:
                     continue  # blank line
                 if first:
                     first = False
-                    if cells is not None and [c.strip() for c in cells] in headers:
+                    if isinstance(cells, list) and [c.strip() for c in cells] in headers:
                         n_cells = len(cells)  # a label column's values are then ignored
                         continue
                 row = _record_row(artifact, cells, n_cells)

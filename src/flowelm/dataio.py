@@ -77,6 +77,10 @@ class RecordLayout:
         reserved = [c for c in self.columns if "=" in c]
         if reserved:
             raise SchemaError(f"'=' is reserved for one-hot feature names; rename column(s) {reserved}")
+        # the artifact holds one name per line
+        broken = [c for c in self.feature_names if "\n" in c]
+        if broken:
+            raise SchemaError(f"line breaks are not allowed in column names or category values: {broken}")
         # per column: None, or each category value's indicator tuple
         onehots = tuple(
             None if vocab is None else {v: tuple(float(v == w) for w in vocab) for v in vocab}
@@ -130,13 +134,17 @@ class RecordLayout:
         return row
 
 
-def record_cells(line: bytes, delimiter: str) -> list[str] | None:
+def record_cells(line: bytes, delimiter: str) -> list[str] | str:
     """The cells of one record line, by the CSV rules load_csv reads files
-    with; [] for a blank line, None for a line that is not UTF-8 CSV."""
+    with; [] for a blank line, or the reason a line cannot be read."""
     try:
         return next(csv.reader((line.decode("utf-8"),), delimiter=delimiter), [])
-    except (UnicodeDecodeError, csv.Error):
-        return None
+    except csv.Error as exc:
+        if str(exc).startswith("field larger than field limit"):
+            return f"field longer than the csv field limit of {csv.field_size_limit()} characters"
+        return "not a UTF-8 CSV record"
+    except UnicodeDecodeError:
+        return "not a UTF-8 CSV record"
 
 
 def _read_rows(fh, path, delimiter):

@@ -101,15 +101,6 @@ def init_random(params: ElmParams, n_features: int) -> tuple[np.ndarray, np.ndar
     return w, b
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def hidden_layer(
     x: np.ndarray,
     w: np.ndarray,
@@ -119,9 +110,11 @@ def hidden_layer(
 ) -> np.ndarray:
     """Hidden-node responses for every sample.
 
-    Tanh/sigmoid nodes apply the activation to x @ w + b. RBF nodes treat
-    each column of w as a center and respond exp(-gamma * ||x_i - w_j||^2);
-    the bias row is ignored for RBF.
+    Tanh/sigmoid nodes apply the activation to x @ w + b; the sigmoid is
+    computed as 0.5 * (1 + tanh(z / 2)), which cannot overflow. RBF nodes
+    treat each column of w as a center and respond exp(-gamma * ||x_i - w_j||^2),
+    the squared distance taken as ||x_i||^2 + ||w_j||^2 - 2 x_i . w_j and
+    clamped at 0; the bias row is ignored for RBF.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -133,18 +126,24 @@ def hidden_layer(
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"biases shaped {b.shape}, expected {(1, w.shape[1])}")
 
-    if activation is Activation.RBF:
-        h = np.empty((x.shape[0], w.shape[1]))
-        for j in range(w.shape[1]):
-            diff = x - w[:, j]
-            h[:, j] = np.exp(-rbf_gamma * np.einsum("ij,ij->i", diff, diff))
-        return h
-
-    z = x @ w + b
+    z = x @ w
     if activation is Activation.TANH:
-        return np.tanh(z)
+        z += b
+        return np.tanh(z, out=z)
     if activation is Activation.SIGMOID:
-        return _sigmoid(z)
+        z += b
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+        return z
+    if activation is Activation.RBF:
+        z *= -2.0
+        z += np.einsum("ij,ij->i", x, x)[:, None]
+        z += np.einsum("ij,ij->j", w, w)
+        np.maximum(z, 0.0, out=z)
+        z *= -rbf_gamma
+        return np.exp(z, out=z)
     raise DataError(f"unsupported activation {activation!r}")
 
 

@@ -66,10 +66,9 @@ def kfold_indices(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np.nd
             assignment[position % folds].append(row)
     pairs = []
     for k in range(folds):
-        valid = sorted(assignment[k])
-        valid_set = set(valid)
-        train = [i for i in range(labels.shape[0]) if i not in valid_set]
-        pairs.append((np.array(train, dtype=np.int64), np.array(valid, dtype=np.int64)))
+        in_train = np.ones(labels.shape[0], dtype=bool)
+        in_train[assignment[k]] = False
+        pairs.append((np.flatnonzero(in_train), np.flatnonzero(~in_train)))
     return pairs
 
 

@@ -269,10 +269,9 @@ def split(
             raise DataError("split needs at least 2 rows")
         rng.shuffle(idx)
         train_idx.extend(idx[: _round_half_up(len(idx) * train_fraction)])
-    train_set = set(train_idx)
-    train_sorted = sorted(train_set)
-    test_sorted = [i for i in range(data.n_samples) if i not in train_set]
+    in_train = np.zeros(data.n_samples, dtype=bool)
+    in_train[train_idx] = True
     return SplitResult(
-        train=data.subset_rows(train_sorted),
-        test=data.subset_rows(test_sorted),
+        train=data.subset_rows(np.flatnonzero(in_train)),
+        test=data.subset_rows(np.flatnonzero(~in_train)),
     )

@@ -312,6 +312,18 @@ class TestScore:
         out = result.stdout.splitlines()
         assert [line.split(",")[1] == "ERROR" for line in out] == [False, True, False]
 
+    def test_oversized_field_gets_its_own_reason(self, cli, trained, small_synth_csv, tmp_path):
+        lines = small_synth_csv.read_bytes().splitlines()[:4]
+        lines[2] = b"9" * 200_000 + b"," + lines[2]
+        path = tmp_path / "huge.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = cli("score", "--model", str(trained), "--input", str(path))
+        assert result.returncode == 0, result.stderr
+        out = [line.split(",", 2) for line in result.stdout.splitlines()]
+        assert [v[0] for v in out] == ["0", "1", "2"]
+        assert out[1][1:] == ["ERROR", "field longer than the csv field limit of 131072 characters"]
+        assert out[2][1] != "ERROR"
+
     def test_error_verdict_arrives_while_stdin_stays_open(self, trained):
         # stdout is a pipe and PYTHONUNBUFFERED is unset, as for a real consumer
         proc = subprocess.Popen(
@@ -497,6 +509,22 @@ class TestCategoricalModel:
         assert len(labels) == data.n_samples == 300
         tp = next(int(line[3:]) for line in evaluation.stdout.splitlines() if line.startswith("tp="))
         assert tp == int(((labels == 1) & (data.labels == 1)).sum())
+
+    @pytest.mark.parametrize("where", ["value", "column"])
+    def test_quoted_line_break_rejected(self, cli, proto_csv, tmp_path, where):
+        # the artifact stores one name per line, so this model could not be loaded
+        text = proto_csv.read_text()
+        if where == "value":
+            text = text.replace(",udp,", ',"u\ndp",')
+        else:
+            text = text.replace("rate,proto,", '"ra\nte",proto,', 1)
+        path = tmp_path / "nl.csv"
+        path.write_text(text)
+        model = tmp_path / "nl.flowelm"
+        result = cli("train", "--input", str(path), "--model", str(model), "--hidden", "16")
+        assert result.returncode == 2
+        assert "line break" in result.stderr
+        assert not model.exists()
 
     def test_equals_sign_in_column_name_rejected(self, cli, tmp_path):
         path = tmp_path / "eq.csv"

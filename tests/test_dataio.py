@@ -171,7 +171,7 @@ class TestRecordLayout:
     def test_record_cells_follow_csv_quoting(self):
         assert dataio.record_cells(b'1,"a,b",2\r\n', ",") == ["1", "a,b", "2"]
         assert dataio.record_cells(b"\n", ",") == []
-        assert dataio.record_cells(b"1,caf\xe9\n", ",") is None
+        assert dataio.record_cells(b"1,caf\xe9\n", ",") == "not a UTF-8 CSV record"
 
 
 def make_artifact(seed=3):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowelm import elm
+from flowelm import elm, linalg
 from flowelm.elm import Activation, ElmParams
 from flowelm.errors import DataError, ShapeError
 
@@ -64,14 +64,37 @@ class TestHiddenLayer:
                 z = sum(x[i, k] * w[k, j] for k in range(3)) + b[0, j]
                 assert abs(h[i, j] - math.tanh(z)) < 1e-12
 
-    def test_rbf_matches_scalar_loop_oracle(self):
+    def test_tanh_bytes_equal_numpy_expression(self):
+        rs = np.random.RandomState(5)
+        x, w, b = rs.randn(37, 45), rs.randn(45, 64), rs.randn(1, 64)
+        h = elm.hidden_layer(x, w, b, Activation.TANH)
+        assert h.tobytes() == np.tanh(x @ w + b).tobytes()
+
+    def test_sigmoid_matches_scalar_logistic(self):
+        rs = np.random.RandomState(6)
+        x, w, b = rs.randn(6, 45), rs.randn(45, 7), rs.randn(1, 7)
+        h = elm.hidden_layer(x, w, b, Activation.SIGMOID)
+        z = x @ w + b
+        for i in range(6):
+            for j in range(7):
+                assert abs(h[i, j] - 1.0 / (1.0 + math.exp(-z[i, j]))) < 1e-15
+
+    @staticmethod
+    def _check_rbf_against_scalar_loop(n_features, gamma):
         rs = np.random.RandomState(1)
-        x, w, b = rs.randn(4, 3), rs.randn(3, 5), rs.randn(1, 5)
-        h = elm.hidden_layer(x, w, b, Activation.RBF, rbf_gamma=0.7)
+        x, w, b = rs.randn(4, n_features), rs.randn(n_features, 5), rs.randn(1, 5)
+        h = elm.hidden_layer(x, w, b, Activation.RBF, rbf_gamma=gamma)
         for i in range(4):
             for j in range(5):
-                d2 = sum((x[i, k] - w[k, j]) ** 2 for k in range(3))
-                assert abs(h[i, j] - math.exp(-0.7 * d2)) < 1e-12
+                d2 = sum((x[i, k] - w[k, j]) ** 2 for k in range(n_features))
+                assert abs(h[i, j] - math.exp(-gamma * d2)) < 1e-12
+
+    def test_rbf_matches_scalar_loop_oracle(self):
+        self._check_rbf_against_scalar_loop(n_features=3, gamma=0.7)
+
+    def test_rbf_matches_scalar_loop_oracle_wide(self):
+        # 45 features, as in the flow records, with gamma ~ 1/n_features
+        self._check_rbf_against_scalar_loop(n_features=45, gamma=2.1 / 45)
 
     def test_sigmoid_extreme_inputs_are_stable(self):
         x = np.array([[1000.0], [-1000.0]])
@@ -130,6 +153,18 @@ class TestFit:
         for _ in range(1000):
             delta = rs.randn(8, 1) * 10.0 ** rs.uniform(-6, 0)
             assert base <= np.linalg.norm(h @ (model.output_weights + delta) - t) + 1e-9
+
+    @pytest.mark.parametrize("width", [8, 256])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_beta_equals_pseudoinverse_solution(self, activation, width):
+        # LAPACK gelsd (lstsq) against gesdd (pinv) on the same hidden matrix
+        rs = np.random.RandomState(12)
+        x = rs.randn(300, 6)
+        y = rs.randint(0, 2, 300)
+        model = elm.fit(x, y, params(hidden=width, activation=activation, seed=3))
+        h = elm.hidden_layer(x, model.input_weights, model.biases, activation)
+        ref = linalg.pseudoinverse(h) @ y.reshape(-1, 1).astype(float)
+        assert np.linalg.norm(model.output_weights - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_model_is_immutable(self):
         model = elm.fit(np.eye(3), [0, 1, 0], params())

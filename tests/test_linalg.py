@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,54 +35,43 @@ def penrose_errors(a, p):
     )
 
 
-class TestSvd:
-    def test_diagonal(self):
-        res = linalg.svd(np.diag([3.0, 2.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0])
+# numpy function behind each solver, and a call of the solver on a matrix
+SOLVERS = {
+    "lstsq": lambda a: linalg.lstsq(a, np.ones((np.shape(a)[0], 1))),
+    "pinv": linalg.pseudoinverse,
+}
 
-    def test_zero_matrix(self):
-        res = linalg.svd(np.zeros((2, 2)))
-        assert np.array_equal(res.singular_values, [0.0, 0.0])
-        # orthonormal factors even when every singular value vanishes
-        assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
-        assert np.allclose(res.vt @ res.vt.T, np.eye(2), atol=1e-12)
 
-    def test_orthonormality_and_reconstruction(self):
-        rs = np.random.RandomState(3)
-        a = rs.randn(6, 3)
-        res = linalg.svd(a)
-        assert np.abs(res.u.T @ res.u - np.eye(3)).max() < 1e-10
-        assert np.abs(res.vt @ res.vt.T - np.eye(3)).max() < 1e-10
-        rec = res.u @ np.diag(res.singular_values) @ res.vt
-        assert np.linalg.norm(rec - a) / max(1.0, np.linalg.norm(a)) < 1e-10
-
-    def test_singular_values_sorted_nonnegative(self):
-        rs = np.random.RandomState(4)
-        for shape in [(5, 5), (7, 3), (3, 7), (10, 2)]:
-            s = linalg.svd(rs.randn(*shape)).singular_values
-            assert (s >= 0).all()
-            assert (np.diff(s) <= 0).all()
-
-    def test_reconstruction_rank_deficient(self):
-        rs = np.random.RandomState(5)
-        a = rs.randn(8, 3) @ rs.randn(3, 6)
-        res = linalg.svd(a)
-        rec = res.u @ np.diag(res.singular_values) @ res.vt
-        assert np.linalg.norm(rec - a) / max(1.0, np.linalg.norm(a)) < 1e-10
-
-    def test_rejects_empty_and_nonfinite(self):
+class TestChecks:
+    @pytest.mark.parametrize("numpy_name", SOLVERS)
+    def test_rejects_empty_and_nonfinite(self, numpy_name):
         with pytest.raises(ShapeError):
-            linalg.svd(np.empty((0, 3)))
+            SOLVERS[numpy_name](np.empty((0, 3)))
         with pytest.raises(DataError):
-            linalg.svd([[1.0, np.nan]])
+            SOLVERS[numpy_name]([[1.0, np.nan]])
 
-    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+    @pytest.mark.parametrize("numpy_name", SOLVERS)
+    def test_lapack_failure_is_numeric_error(self, monkeypatch, numpy_name):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(np.linalg, numpy_name, no_convergence)
         with pytest.raises(NumericError, match="did not converge"):
-            linalg.svd(np.eye(3))
+            SOLVERS[numpy_name](np.eye(3))
+
+    def test_cutoff_is_eps_times_largest_dimension(self):
+        # cutoff eps * 3 * sigma_max = 6.7e-16: 1e-12 is kept, 1e-17 is not
+        a = np.diag([1.0, 1e-12, 1e-17])
+        expected = np.diag([1.0, 1e12, 0.0])
+        assert np.allclose(linalg.pseudoinverse(a), expected, rtol=1e-12, atol=1e-300)
+        assert np.allclose(linalg.lstsq(a, np.eye(3)), expected, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("numpy_name", SOLVERS)
+    def test_no_warning_from_numpy(self, numpy_name):
+        # a newer numpy that deprecates rcond= fails here instead of warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SOLVERS[numpy_name](np.random.RandomState(11).randn(6, 4))
 
 
 class TestPseudoinverse:
@@ -113,10 +104,6 @@ class TestPseudoinverse:
         }[case]()
         p = linalg.pseudoinverse(a)
         assert max(penrose_errors(a, p)) <= 1e-8
-
-    def test_rcond_validation(self):
-        with pytest.raises(ValueError):
-            linalg.pseudoinverse(np.eye(2), rcond=-1.0)
 
 
 class TestLstsq:
