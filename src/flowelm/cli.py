@@ -178,9 +178,17 @@ def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
 
 
 def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
-    """Report on rows of all ingested columns, scored through the artifact."""
+    """Report on rows of all ingested columns, scored through the artifact.
+    A row with a finite value that overflows when scaled is left out, and
+    counted on stderr."""
+    x = artifact.transform(data.features)
+    in_range = np.isfinite(x).all(axis=1)
+    if not in_range.all():
+        print(f"flowelm: evaluate: skipped {int((~in_range).sum())} record(s) with a value"
+              " that overflows when scaled", file=sys.stderr)
+        x, data = x[in_range], data.subset_rows(np.flatnonzero(in_range))
     scored = preprocess.FlowDataset(
-        features=artifact.transform(data.features),
+        features=x,
         labels=data.labels,
         feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
         source=data.source,
@@ -343,21 +351,38 @@ def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
     return row
 
 
-def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> str:
+def _scores(artifact: dataio.ModelArtifact, rows) -> list:
+    """The scores of decoded rows in one model evaluation, with NaN for a
+    row holding a finite value that overflows when scaled."""
+    if not rows:
+        return []
+    x = artifact.transform(np.array(rows))
+    try:
+        return elm_mod.score(artifact.model, x).tolist()
+    except DataError:  # elm.score names only the first such row
+        in_range = np.isfinite(x).all(axis=1)
+        scores = np.full(len(rows), np.nan)
+        scores[in_range] = elm_mod.score(artifact.model, x[in_range])
+        return scores.tolist()
+
+
+def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> tuple[str, int]:
     """The verdict lines of (ordinal, row or ERROR reason) records, their
-    rows scored in one model evaluation."""
-    rows = [row for _, row in records if not isinstance(row, str)]
-    scores = iter(
-        elm_mod.score(artifact.model, artifact.transform(np.array(rows))).tolist() if rows else ()
-    )
+    rows scored in one model evaluation, and how many are ERROR."""
+    scores = iter(_scores(artifact, [row for _, row in records if not isinstance(row, str)]))
     lines = []
+    errors = 0
     for ordinal, row in records:
+        if not isinstance(row, str):
+            value = next(scores)
+            if math.isnan(value):
+                row = "numeric field overflows when scaled"
         if isinstance(row, str):
             lines.append(f"{ordinal},ERROR,{row}\n")
+            errors += 1
         else:
-            value = next(scores)
             lines.append(f"{ordinal},{dataio.format_float(value)},{1 if value >= threshold else 0}\n")
-    return "".join(lines)
+    return "".join(lines), errors
 
 
 def cmd_score(args) -> int:
@@ -380,12 +405,12 @@ def cmd_score(args) -> int:
                     if isinstance(cells, list) and [c.strip() for c in cells] in headers:
                         n_cells = len(cells)  # a label column's values are then ignored
                         continue
-                row = _record_row(artifact, cells, n_cells)
-                errors += isinstance(row, str)
-                records.append((ordinal, row))
+                records.append((ordinal, _record_row(artifact, cells, n_cells)))
                 ordinal += 1
             if records:
-                sys.stdout.write(_verdict_lines(artifact, records, args.threshold))
+                lines, n_errors = _verdict_lines(artifact, records, args.threshold)
+                errors += n_errors
+                sys.stdout.write(lines)
                 sys.stdout.flush()
     finally:
         if stream is not sys.stdin.buffer:

@@ -9,6 +9,7 @@ outputs (not clipped to [0, 1]); thresholding happens in predict().
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ from .rng import Rng
 # 2, 3, 5, 7 and 33 rows) gives some rows other bits than a larger block
 # does; padded blocks of a multiple of 8 rows give every row the same bits.
 _ROW_MULTIPLE = 8
+
+# The most rows whose hidden-layer responses exist at once: score() runs
+# blocks of this many rows, and fit() folds half blocks into its R factor
+# (np.linalg.qr copies its input, so a fold holds [R; H_c | T_c] twice).
+# A multiple of _ROW_MULTIPLE. Fit bytes depend on it; score bits do not.
+_BLOCK_ROWS = 8192
 
 
 class Activation(enum.Enum):
@@ -157,26 +164,52 @@ def _check_labels(y, n_rows: int) -> np.ndarray:
     return y
 
 
+def _check_finite(x: np.ndarray, first_row: int) -> None:
+    """Raise DataError naming the first row of x, counted from first_row,
+    that holds a non-finite value."""
+    # A finite sum proves every value finite, at half the cost of isfinite
+    # for the few rows of a stream read; only a sum that is not (a NaN or
+    # inf, or an overflow of finite values) needs the row-by-row check.
+    if math.isfinite(np.add.reduce(x, axis=None)):
+        return
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature value in row {first_row + int(np.argmin(finite))}")
+
+
 def fit(x_train, y_train, params: ElmParams) -> ElmModel:
     """Train on 0/1 labels: random hidden layer, least-squares output weights.
 
-    Pure function of (x_train, y_train, params); repeated calls are
-    bit-identical.
+    H is never held whole. Each half block of rows (see _BLOCK_ROWS) is
+    folded into the (L+1)x(L+1) R factor of [H | T], whose last column
+    carries Q^T T (TSQR: Demmel, Grigori, Hoemmen & Langou, 2012). Beta is
+    the minimum-norm solution of R's leading block, with H's own cutoff
+    EPS * max(rows, L). Pure function of (x_train, y_train, params);
+    repeated calls are bit-identical.
     """
     x = np.asarray(x_train, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("training features must be 2-D")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise DataError("training set must have at least one sample and one feature")
-    if not np.isfinite(x).all():
-        bad_rows = np.where(~np.isfinite(x).all(axis=1))[0]
-        raise DataError(f"non-finite feature value in row {bad_rows[0]}")
     y = _check_labels(y_train, x.shape[0])
 
     w, b = init_random(params, x.shape[1])
-    h = hidden_layer(x, w, b, params.activation, params.rbf_gamma)
-    targets = y.astype(np.float64).reshape(-1, 1)
-    beta = linalg.lstsq(h, targets)
+    width = params.hidden_nodes
+    fold_rows = _BLOCK_ROWS // 2
+    r = np.empty((0, width + 1))
+    for start in range(0, x.shape[0], fold_rows):
+        rows = x[start : start + fold_rows]
+        _check_finite(rows, start)
+        stacked = np.empty((r.shape[0] + rows.shape[0], width + 1))
+        stacked[: r.shape[0]] = r
+        stacked[r.shape[0] :, :width] = hidden_layer(
+            rows, w, b, params.activation, params.rbf_gamma
+        )
+        stacked[r.shape[0] :, width] = y[start : start + fold_rows]
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked  # before the next fold's rows are allocated
+    beta = linalg.lstsq(r[:width, :width], r[:width, width:], rows=x.shape[0])
     return ElmModel(
         input_weights=w,
         biases=b,
@@ -186,19 +219,14 @@ def fit(x_train, y_train, params: ElmParams) -> ElmModel:
     )
 
 
-def _outputs(model: ElmModel, x: np.ndarray) -> np.ndarray:
-    h = hidden_layer(
-        x, model.input_weights, model.biases, model.params.activation, model.params.rbf_gamma
-    )
-    return (h @ model.output_weights).ravel()
-
-
 def score(model: ElmModel, x) -> np.ndarray:
     """Raw network output per sample (one float each).
 
-    A row's score does not depend on the rows scored with it: the rows go
-    through the BLAS products in blocks of a multiple of 8 rows, the last
-    few rows zero-padded (see _ROW_MULTIPLE).
+    Rows go through the hidden layer and the output product one block of
+    _BLOCK_ROWS at a time. A row's score does not depend on the rows scored
+    with it: every block's row count is a multiple of 8, the last block
+    zero-padded (see _ROW_MULTIPLE). A non-finite feature value raises
+    DataError naming its row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -207,16 +235,21 @@ def score(model: ElmModel, x) -> np.ndarray:
         raise ShapeError(
             f"model expects {model.n_features} features, got {x.shape[1]}"
         )
-    n_tail = x.shape[0] % _ROW_MULTIPLE
-    if not n_tail:
-        return _outputs(model, x)
-    n_whole = x.shape[0] - n_tail
-    tail = np.zeros((_ROW_MULTIPLE, x.shape[1]))
-    tail[:n_tail] = x[n_whole:]
-    tail_scores = _outputs(model, tail)[:n_tail]
-    if not n_whole:
-        return tail_scores
-    return np.concatenate((_outputs(model, x[:n_whole]), tail_scores))
+    params = model.params
+    scores = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        block = x[start : start + _BLOCK_ROWS]
+        _check_finite(block, start)
+        n_rows = block.shape[0]
+        if n_rows % _ROW_MULTIPLE:
+            padded = np.zeros((n_rows + _ROW_MULTIPLE - n_rows % _ROW_MULTIPLE, x.shape[1]))
+            padded[:n_rows] = block
+            block = padded
+        scores[start : start + n_rows] = (
+            hidden_layer(block, model.input_weights, model.biases, params.activation, params.rbf_gamma)
+            @ model.output_weights
+        )[:n_rows, 0]
+    return scores
 
 
 def predict(model: ElmModel, x, threshold: float = 0.5) -> np.ndarray:

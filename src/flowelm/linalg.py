@@ -1,7 +1,8 @@
 """Dense float64 least squares and pseudoinverse on numpy's LAPACK drivers.
 
 Both use the same cutoff: singular values at or below
-EPS * max(m, n) * sigma_max count as zero.
+EPS * max(m, n) * sigma_max count as zero, m x n being the shape of the
+matrix solved (for lstsq on an R factor, of the matrix it came from).
 """
 
 from __future__ import annotations
@@ -46,17 +47,22 @@ def pseudoinverse(a) -> np.ndarray:
         ) from exc
 
 
-def lstsq(a, targets) -> np.ndarray:
+def lstsq(a, targets, rows: int | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution of a @ x = targets (LAPACK gelsd
-    through np.linalg.lstsq); equals pseudoinverse(a) @ targets."""
+    through np.linalg.lstsq); equals pseudoinverse(a) @ targets.
+
+    When a is the leading block of the R factor of a taller m-row matrix,
+    pass rows=m: the cutoff is then EPS * max(m, n), that matrix's own.
+    """
     a = as_matrix(a, "lstsq input")
     targets = as_matrix(targets, "lstsq targets")
     if a.shape[0] != targets.shape[0]:
         raise ShapeError(
             f"row mismatch: coefficients {a.shape} vs targets {targets.shape}"
         )
+    rcond = _rcond(a) if rows is None else EPS * max(rows, a.shape[1])
     try:
-        return np.linalg.lstsq(a, targets, rcond=_rcond(a))[0]
+        return np.linalg.lstsq(a, targets, rcond=rcond)[0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"least squares on a {a.shape[0]}x{a.shape[1]} matrix did not converge"

@@ -423,6 +423,52 @@ class TestScore:
         assert result.stdout == ""
 
 
+class TestValueThatOverflowsWhenScaled:
+    """A finite cell can overflow to inf when scaled; its row fails closed."""
+
+    @pytest.fixture
+    def files(self, cli, tmp_path):
+        # z follows the label with a spread near 0.001, so 1e308 in z scales to inf
+        rs = np.random.RandomState(1)
+        labels = np.array([0] * 40 + [1] * 40)
+        ds = preprocess.FlowDataset(
+            features=np.column_stack([rs.randn(80) + 8.0 * labels, 0.001 * (labels + 0.5 * rs.randn(80))]),
+            labels=labels,
+            feature_names=("x", "z"),
+            categories=tuple(["Benign"] * 40 + ["DoS-SYN Flood"] * 40),
+        )
+        clean = tmp_path / "narrow.csv"
+        dataio.write_csv(ds, clean)
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(clean), "--model", str(model), "--hidden", "8")
+        assert result.returncode == 0, result.stderr
+        lines = clean.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "-1e308"
+        lines[3] = ",".join(cells)
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join(lines) + "\n")
+        return model, dirty
+
+    def test_evaluate_skips_and_counts_the_row(self, cli, files):
+        model, dirty = files
+        result = cli("evaluate", "--model", str(model), "--input", str(dirty))
+        assert result.returncode == 0, result.stderr
+        assert "skipped 1 record(s) with a value that overflows when scaled" in result.stderr
+        values = dict(line.partition("=")[::2] for line in result.stdout.splitlines() if "=" in line)
+        assert int(values["n_samples"]) == 79
+
+    def test_score_answers_error_and_goes_on(self, cli, files):
+        model, dirty = files
+        result = cli("score", "--model", str(model), "--input", str(dirty))
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert len(out) == 80
+        assert out[2] == "2,ERROR,numeric field overflows when scaled"
+        assert sum(",ERROR," in line for line in out) == 1
+        assert "1 malformed record(s)" in result.stderr
+
+
 class TestCategoricalModel:
     """A model trained with a categorical column scores raw records."""
 

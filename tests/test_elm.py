@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,63 @@ class TestFit:
         ref = linalg.pseudoinverse(h) @ y.reshape(-1, 1).astype(float)
         assert np.linalg.norm(model.output_weights - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_multi_block_beta_equals_pseudoinverse_solution(self, activation):
+        rs = np.random.RandomState(13)
+        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 6)
+        y = (x[:, 0] + rs.randn(len(x)) > 0).astype(int)
+        model = elm.fit(x, y, params(hidden=32, activation=activation, seed=4))
+        h = elm.hidden_layer(x, model.input_weights, model.biases, activation)
+        ref = linalg.pseudoinverse(h) @ y.reshape(-1, 1).astype(float)
+        assert np.linalg.norm(model.output_weights - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_wide_multi_block_beta_equals_pseudoinverse_solution(self, monkeypatch):
+        # 40 rows, 100 nodes: every fold adds rows to an R that is still wide
+        monkeypatch.setattr(elm, "_BLOCK_ROWS", 8)
+        rs = np.random.RandomState(14)
+        x = rs.randn(40, 6)
+        y = rs.randint(0, 2, 40)
+        model = elm.fit(x, y, params(hidden=100, seed=6))
+        h = elm.hidden_layer(x, model.input_weights, model.biases, Activation.TANH)
+        ref = linalg.pseudoinverse(h) @ y.reshape(-1, 1).astype(float)
+        assert np.linalg.norm(model.output_weights - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_cutoff_uses_the_shape_of_h_not_of_r(self, monkeypatch):
+        # H = U diag(1, 1, 1, 1e-13) V^T with m rows and 4 columns. 1e-13 lies
+        # above EPS * 5 (the cutoff for R's shape) and below EPS * m (H's own),
+        # so the fit must drop it.
+        m = 2 * elm._BLOCK_ROWS + 5
+        rs = np.random.RandomState(15)
+        u = np.linalg.qr(rs.randn(m, 4))[0]
+        v = np.linalg.qr(rs.randn(4, 4))[0]
+        sigma = np.array([1.0, 1.0, 1.0, 1e-13])
+        assert linalg.EPS * 5 < sigma[3] < linalg.EPS * m
+        h = (u * sigma) @ v.T
+        monkeypatch.setattr(elm, "hidden_layer", lambda x, *args: h[x[:, 0].astype(int)])
+        y = rs.randint(0, 2, m)
+        model = elm.fit(np.arange(m, dtype=float).reshape(-1, 1), y, params(hidden=4))
+        t = y.reshape(-1, 1).astype(float)
+        truncated = v[:, :3] @ (u[:, :3].T @ t)
+        assert np.linalg.norm(model.output_weights - truncated) <= 1e-10 * np.linalg.norm(truncated)
+
+    def test_repeated_multi_block_fit_bytes_identical(self):
+        rs = np.random.RandomState(16)
+        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 5)
+        y = rs.randint(0, 2, len(x))
+        first = elm.fit(x, y, params(hidden=48, seed=8))
+        second = elm.fit(x, y, params(hidden=48, seed=8))
+        assert first.output_weights.tobytes() == second.output_weights.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [8, 1000])
+    def test_block_size_moves_beta_only_in_rounding(self, monkeypatch, block_rows):
+        rs = np.random.RandomState(17)
+        x = rs.randn(3000, 6)
+        y = (x[:, 1] > 0).astype(int)
+        ref = elm.fit(x, y, params(hidden=40, seed=9)).output_weights
+        monkeypatch.setattr(elm, "_BLOCK_ROWS", block_rows)
+        beta = elm.fit(x, y, params(hidden=40, seed=9)).output_weights
+        assert np.linalg.norm(beta - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_model_is_immutable(self):
         model = elm.fit(np.eye(3), [0, 1, 0], params())
         with pytest.raises(ValueError):
@@ -194,13 +252,28 @@ class TestScorePredict:
 
     def test_empty_input_gives_empty_scores(self, trained):
         model, _, _ = trained
-        assert elm.score(model, np.empty((0, 3))).shape == (0,)
+        scores = elm.score(model, np.empty((0, 3)))
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
     def test_duplicated_row_duplicated_score(self, trained):
         model, x, _ = trained
         doubled = np.vstack([x[:1], x[:1]])
         s = elm.score(model, doubled)
         assert s[0] == s[1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_row_raises_naming_it(self, trained, monkeypatch, value):
+        model, x, _ = trained
+        bad = x.copy()
+        bad[13, 2] = value
+        bad[30, 0] = value
+        with pytest.raises(DataError, match="row 13$"):
+            elm.score(model, bad)
+        with pytest.raises(DataError, match="row 13$"):
+            elm.predict(model, bad)
+        monkeypatch.setattr(elm, "_BLOCK_ROWS", 8)  # row 13 sits in the second block
+        with pytest.raises(DataError, match="row 13$"):
+            elm.score(model, bad)
 
     def test_feature_count_mismatch_names_both(self, trained):
         model, _, _ = trained
@@ -234,7 +307,7 @@ class TestScoreIndependentOfBatch:
     """A row's score has the same bits however the rows are grouped."""
 
     @pytest.mark.parametrize("activation", list(Activation))
-    def test_row_bits_equal_alone_in_blocks_and_in_full_batch(self, activation):
+    def test_row_bits_equal_alone_in_blocks_and_in_full_batch(self, monkeypatch, activation):
         rs = np.random.RandomState(8)
         x = rs.randn(203, 7)
         model = elm.fit(x, (x[:, 0] + x[:, 1] > 0).astype(int), params(24, activation, seed=3))
@@ -244,3 +317,35 @@ class TestScoreIndependentOfBatch:
             blocks = [elm.score(model, x[i : i + size]) for i in range(0, len(x), size)]
             assert np.concatenate(blocks).tobytes() == full, f"blocks of {size} rows"
         assert elm.score(model, x[:200]).tobytes() == full[: 200 * 8]
+        monkeypatch.setattr(elm, "_BLOCK_ROWS", 16)
+        assert elm.score(model, x).tobytes() == full, "blocks of 16 rows inside score"
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_rows_across_blocks_keep_their_bits(self, activation):
+        rs = np.random.RandomState(9)
+        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 7)
+        model = elm.fit(x[:500], (x[:500, 0] > 0).astype(int), params(24, activation, seed=3))
+        full = elm.score(model, x).tobytes()
+        assert np.concatenate([elm.score(model, x[i : i + 1]) for i in range(len(x))]).tobytes() == full
+        blocks = [elm.score(model, x[i : i + 13]) for i in range(0, len(x), 13)]
+        assert np.concatenate(blocks).tobytes() == full
+
+
+class TestBoundedMemory:
+    """fit and score never hold the whole hidden layer."""
+
+    @pytest.mark.parametrize("step", ["fit", "score"])
+    def test_peak_allocation_under_half_of_h(self, step):
+        rs = np.random.RandomState(11)
+        x = rs.randn(3 * elm._BLOCK_ROWS + 5, 10)
+        y = (x[:, 0] > 0).astype(int)
+        p = params(hidden=512, seed=1)
+        model = elm.fit(x[:600], y[:600], p) if step == "score" else None
+        full_h_bytes = x.shape[0] * 512 * 8
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            elm.fit(x, y, p) if step == "fit" else elm.score(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_h_bytes / 2, f"peak {peak} bytes, one H is {full_h_bytes}"

@@ -66,6 +66,12 @@ class TestChecks:
         assert np.allclose(linalg.pseudoinverse(a), expected, rtol=1e-12, atol=1e-300)
         assert np.allclose(linalg.lstsq(a, np.eye(3)), expected, rtol=1e-12, atol=1e-300)
 
+    def test_cutoff_counts_the_rows_of_the_factored_matrix(self):
+        # R's leading block of a 1000-row matrix: cutoff eps * 1000 = 2.2e-13
+        a = np.diag([1.0, 1e-14])
+        assert np.allclose(linalg.lstsq(a, np.eye(2)), np.diag([1.0, 1e14]), rtol=1e-12)
+        assert np.array_equal(linalg.lstsq(a, np.eye(2), rows=1000), np.diag([1.0, 0.0]))
+
     @pytest.mark.parametrize("numpy_name", SOLVERS)
     def test_no_warning_from_numpy(self, numpy_name):
         # a newer numpy that deprecates rcond= fails here instead of warning
