@@ -460,27 +460,47 @@ def _add_schema_flags(parser):
     parser.add_argument("--exclude-columns", default=None, help="comma-separated columns to ignore")
 
 
+def _checked(parse, rule: str, holds):
+    """An argparse type: parse the text, then raise ValueError unless the
+    value holds. argparse names `rule` in its usage error; a config file
+    value goes through the same check."""
+    def convert(text):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(rule)
+        return value
+    convert.__name__ = rule
+    return convert
+
+
+def _comma(convert):
+    """An argparse type: a non-empty, comma-separated tuple of convert's values."""
+    def parse(text):
+        values = tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
+_threshold = _checked(float, "float (finite)", math.isfinite)
+_corr_threshold = _checked(float, "float (finite, >= 0)", lambda c: math.isfinite(c) and c >= 0)
+_fraction = _checked(float, "float (strictly between 0 and 1)", lambda f: 0 < f < 1)
+_gamma = _checked(float, "float (finite, > 0)", lambda g: math.isfinite(g) and g > 0)
+_hidden = _checked(int, "int (>= 1)", lambda h: h >= 1)
+_folds = _checked(int, "int (>= 2)", lambda k: k >= 2)
+
+
 def _add_pipeline_flags(parser):
-    parser.add_argument("--corr-threshold", type=float, default=0.02,
+    parser.add_argument("--corr-threshold", type=_corr_threshold, default=0.02,
                         help="minimum |correlation| with the label to keep a feature")
-    parser.add_argument("--train-fraction", type=float, default=0.8,
+    parser.add_argument("--train-fraction", type=_fraction, default=0.8,
                         help="fraction of rows used for training")
     parser.add_argument("--seed", type=int, default=0, help="seed for every random choice")
     parser.add_argument("--leak-free", action="store_true",
                         help="select features from the training split only")
-    parser.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
-
-
-def _comma_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _comma_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _comma_names(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    parser.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--report", default=None, help="output report path (default MODEL.report.txt)")
     _add_schema_flags(p_train)
     _add_pipeline_flags(p_train)
-    p_train.add_argument("--hidden", type=int, default=64, help="hidden node count")
+    p_train.add_argument("--hidden", type=_hidden, default=64, help="hidden node count")
     p_train.add_argument("--activation", default="tanh", choices=["tanh", "sigmoid", "rbf"])
-    p_train.add_argument("--rbf-gamma", type=float, default=1.0, help="RBF kernel width")
+    p_train.add_argument("--rbf-gamma", type=_gamma, default=1.0, help="RBF kernel width")
     p_train.set_defaults(func=cmd_train)
 
     p_grid = sub.add_parser("grid", help="cross-validated grid search, then train the best")
@@ -506,14 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--report", default=None, help="output report path (default MODEL.report.txt)")
     _add_schema_flags(p_grid)
     _add_pipeline_flags(p_grid)
-    p_grid.add_argument("--hidden", type=_comma_ints,
-                        default=list(model_select.DEFAULT_HIDDEN_NODES),
+    p_grid.add_argument("--hidden", type=_comma(_hidden), default=model_select.DEFAULT_HIDDEN_NODES,
                         help="comma-separated hidden node candidates")
-    p_grid.add_argument("--activation", type=_comma_names, default=["tanh", "sigmoid", "rbf"],
+    p_grid.add_argument("--activation", type=_comma(str), default=("tanh", "sigmoid", "rbf"),
                         help="comma-separated activation candidates")
-    p_grid.add_argument("--rbf-gamma", type=_comma_floats, default=[1.0],
+    p_grid.add_argument("--rbf-gamma", type=_comma(_gamma), default=(1.0,),
                         help="comma-separated RBF gamma candidates")
-    p_grid.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    p_grid.add_argument("--folds", type=_folds, default=5, help="cross-validation folds")
     p_grid.add_argument("--metric", default="f1", choices=["f1", "accuracy"],
                         help="selection metric")
     p_grid.set_defaults(func=cmd_grid)
@@ -523,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True, help="model artifact path")
     p_eval.add_argument("--input", required=True, help="labeled flow CSV")
     p_eval.add_argument("--report", default=None, help="optional report output path")
-    p_eval.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
+    p_eval.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
     _add_schema_flags(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -531,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--config", default=None, help="optional key=value defaults file")
     p_score.add_argument("--model", required=True, help="model artifact path")
     p_score.add_argument("--input", default="-", help="records file, or - for stdin (default)")
-    p_score.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
+    p_score.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
     p_score.set_defaults(func=cmd_score)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled flow CSV")
@@ -594,27 +613,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
-
-    # usage-level validation beyond argparse types
-    if getattr(args, "folds", None) is not None and args.folds < 2:
-        parser.error("--folds must be at least 2")
-    if getattr(args, "train_fraction", None) is not None and not 0 < args.train_fraction < 1:
-        parser.error("--train-fraction must be strictly between 0 and 1")
-    if getattr(args, "corr_threshold", None) is not None and args.corr_threshold < 0:
-        parser.error("--corr-threshold must be >= 0")
-    if getattr(args, "hidden", None) is not None:
-        hidden = args.hidden if isinstance(args.hidden, list) else [args.hidden]
-        if not hidden or any(h < 1 for h in hidden):
-            parser.error("--hidden values must be >= 1")
-        if isinstance(args.hidden, list):
-            args.hidden = tuple(hidden)
-    if getattr(args, "rbf_gamma", None) is not None:
-        gammas = args.rbf_gamma if isinstance(args.rbf_gamma, list) else [args.rbf_gamma]
-        if not gammas or any(g <= 0 for g in gammas):
-            parser.error("--rbf-gamma values must be positive")
-        if isinstance(args.rbf_gamma, list):
-            args.rbf_gamma = tuple(gammas)
-
     try:
         return args.func(args)
     except _StageFailure as exc:

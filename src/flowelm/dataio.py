@@ -284,17 +284,12 @@ class ModelArtifact:
     seed: int
     fingerprint: str = ""
     source: str = ""
-    format_version: int = FORMAT_VERSION
 
     layout: RecordLayout = field(init=False, repr=False)  # from feature_names
 
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "layout", RecordLayout.from_feature_names(self.feature_names))
-        if self.format_version != FORMAT_VERSION:
-            raise UnsupportedVersionError(
-                f"artifact format {self.format_version} not supported (expected {FORMAT_VERSION})"
-            )
         n_original = len(self.feature_names)
         kept = self.selection.kept_indices
         if len(self.selection.correlations) != n_original:
@@ -310,48 +305,52 @@ class ModelArtifact:
         object.__setattr__(self, "_kept", np.asarray(kept, dtype=np.intp))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        """Model input from decoded rows: the kept columns, z-scored."""
-        return apply_scaler(self.scaler, features.take(self._kept, axis=1))
+        """Model input from decoded rows: the kept columns, z-scored. A finite
+        value may overflow to inf here; the callers fail its row closed."""
+        with np.errstate(over="ignore"):
+            return apply_scaler(self.scaler, features.take(self._kept, axis=1))
+
+
+def _floats_text(values) -> str:
+    return " ".join(format_float(v) for v in values)
+
+
+# The v1 header: after the version line, one "key=value" line per entry, in
+# this order. save_model writes each value with its getter; load_model reads
+# the lines back by key. Then come a "feature=NAME" line per ingested
+# feature, a "matrix.KEY=ROWS COLS" line and its rows per _MATRICES key, and
+# an "end" line.
+_HEADER = (
+    ("schema.label_column", lambda a: a.schema.label_column),
+    ("schema.benign_value", lambda a: a.schema.benign_value),
+    ("schema.delimiter", lambda a: a.schema.delimiter),
+    ("schema.exclude_columns", lambda a: ",".join(a.schema.exclude_columns)),
+    ("meta.seed", lambda a: a.seed),
+    ("meta.source", lambda a: a.source.replace("\n", " ")),
+    ("meta.fingerprint", lambda a: a.fingerprint),
+    ("selection.n_original", lambda a: len(a.feature_names)),
+    ("selection.kept", lambda a: " ".join(map(str, a.selection.kept_indices))),
+    ("selection.correlations", lambda a: _floats_text(a.selection.correlations)),
+    ("scaler.means", lambda a: _floats_text(a.scaler.means)),
+    ("scaler.stds", lambda a: _floats_text(a.scaler.stds)),
+    ("elm.hidden_nodes", lambda a: a.model.params.hidden_nodes),
+    ("elm.activation", lambda a: a.model.params.activation.value),
+    ("elm.rbf_gamma", lambda a: format_float(a.model.params.rbf_gamma)),
+    ("elm.seed", lambda a: a.model.params.seed),
+    ("elm.n_features", lambda a: a.model.n_features),
+)
+_MATRICES = ("input_weights", "biases", "output_weights")
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Serialize to the versioned text format, atomically."""
-    lines = [f"{_MAGIC} v{artifact.format_version}"]
-
-    def kv(key, value):
-        lines.append(f"{key}={value}")
-
-    kv("schema.label_column", artifact.schema.label_column)
-    kv("schema.benign_value", artifact.schema.benign_value)
-    kv("schema.delimiter", artifact.schema.delimiter)
-    kv("schema.exclude_columns", ",".join(artifact.schema.exclude_columns))
-    kv("meta.seed", artifact.seed)
-    kv("meta.source", artifact.source.replace("\n", " "))
-    kv("meta.fingerprint", artifact.fingerprint)
-    kv("selection.n_original", len(artifact.feature_names))
-    kv("selection.kept", " ".join(str(i) for i in artifact.selection.kept_indices))
-    kv(
-        "selection.correlations",
-        " ".join(format_float(c) for c in artifact.selection.correlations),
-    )
-    kv("scaler.means", " ".join(format_float(m) for m in artifact.scaler.means))
-    kv("scaler.stds", " ".join(format_float(s) for s in artifact.scaler.stds))
-    params = artifact.model.params
-    kv("elm.hidden_nodes", params.hidden_nodes)
-    kv("elm.activation", params.activation.value)
-    kv("elm.rbf_gamma", format_float(params.rbf_gamma))
-    kv("elm.seed", params.seed)
-    kv("elm.n_features", artifact.model.n_features)
-    for name in artifact.feature_names:
-        kv("feature", name)
-    for key, matrix in (
-        ("input_weights", artifact.model.input_weights),
-        ("biases", artifact.model.biases),
-        ("output_weights", artifact.model.output_weights),
-    ):
-        kv(f"matrix.{key}", f"{matrix.shape[0]} {matrix.shape[1]}")
-        for row in matrix:
-            lines.append(" ".join(format_float(v) for v in row))
+    lines = [f"{_MAGIC} v{FORMAT_VERSION}"]
+    lines += [f"{key}={value(artifact)}" for key, value in _HEADER]
+    lines += [f"feature={name}" for name in artifact.feature_names]
+    for key in _MATRICES:
+        matrix = getattr(artifact.model, key)
+        lines.append(f"matrix.{key}={matrix.shape[0]} {matrix.shape[1]}")
+        lines += [_floats_text(row) for row in matrix]
     lines.append("end")
     write_atomic(path, "\n".join(lines) + "\n")
 
@@ -371,147 +370,77 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-class _ArtifactReader:
-    def __init__(self, path):
+def load_model(path) -> ModelArtifact:
+    """Parse and validate an artifact. Raises UnsupportedVersionError for
+    another format version, and IntegrityError for any other bad file:
+    truncated, out of order, malformed or inconsistent."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def value(key: str) -> str:
+        line = next(lines, None)
+        if line is None:
+            raise IntegrityError("truncated artifact")
+        if not line.startswith(key + "="):
+            raise IntegrityError(f"expected {key!r}, found {line[:80]!r}")
+        return line[len(key) + 1 :]
+
+    try:
         # "\n" is the only line break save_model writes; a feature name may
         # hold any other character that str.splitlines() would break at
-        with open(path, encoding="utf-8", newline="") as fh:
-            try:
-                self.lines = fh.read().split("\n")
-            except UnicodeDecodeError:
-                raise IntegrityError(f"{path}: not UTF-8 text") from None
-        self.pos = 0
-        self.path = path
-
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise IntegrityError(f"{self.path}: truncated artifact")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_kv(self, key: str) -> str:
-        line = self.next_line()
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise IntegrityError(f"{self.path}: expected {key!r}, found {line!r}")
-        return line[len(prefix):]
-
-
-def _parse_floats(text: str, what: str, path) -> np.ndarray:
-    if not text.strip():
-        return np.empty(0)
-    try:
-        return np.array([float(tok) for tok in text.split()], dtype=np.float64)
-    except ValueError:
-        raise IntegrityError(f"{path}: malformed {what}") from None
-
-
-def load_model(path) -> ModelArtifact:
-    """Parse and validate an artifact; rejects unknown versions and bad dims."""
-    reader = _ArtifactReader(path)
-    magic = reader.next_line()
-    if not magic.startswith(_MAGIC + " v"):
-        raise IntegrityError(f"{path}: not a flowelm model file")
-    try:
+        lines = iter(data.decode("utf-8").split("\n"))
+        magic = next(lines)
+        if not magic.startswith(_MAGIC + " v"):
+            raise IntegrityError("not a flowelm model file")
         version = int(magic[len(_MAGIC) + 2 :])
-    except ValueError:
-        raise IntegrityError(f"{path}: malformed version line") from None
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: artifact format v{version} not supported (expected v{FORMAT_VERSION})"
-        )
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: artifact format v{version} not supported (expected v{FORMAT_VERSION})"
+            )
+        header = {key: value(key) for key, _ in _HEADER}
+        feature_names = [value("feature") for _ in range(int(header["selection.n_original"]))]
+        matrices = {}
+        for key in _MATRICES:
+            rows, cols = map(int, value(f"matrix.{key}").split())
+            # the row lines read, so a wrong dimension line allocates nothing
+            block = [line.split() for _, line in zip(range(rows), lines)]
+            if len(block) != rows or any(len(row) != cols for row in block):
+                raise IntegrityError(f"matrix.{key} does not hold {rows} rows of {cols} values")
+            matrices[key] = np.array(block, dtype=np.float64)
+        if next(lines, None) != "end":
+            raise IntegrityError("missing end marker")
 
-    schema = CsvSchema(
-        label_column=reader.expect_kv("schema.label_column"),
-        benign_value=reader.expect_kv("schema.benign_value"),
-        delimiter=reader.expect_kv("schema.delimiter"),
-        exclude_columns=tuple(
-            c for c in reader.expect_kv("schema.exclude_columns").split(",") if c
-        ),
-    )
-    try:
-        seed = int(reader.expect_kv("meta.seed"))
-    except ValueError:
-        raise IntegrityError(f"{path}: malformed seed") from None
-    source = reader.expect_kv("meta.source")
-    digest = reader.expect_kv("meta.fingerprint")
-    try:
-        n_original = int(reader.expect_kv("selection.n_original"))
-    except ValueError:
-        raise IntegrityError(f"{path}: malformed feature count") from None
-    kept_text = reader.expect_kv("selection.kept")
-    try:
-        kept = tuple(int(tok) for tok in kept_text.split())
-    except ValueError:
-        raise IntegrityError(f"{path}: malformed selection indices") from None
-    correlations = _parse_floats(
-        reader.expect_kv("selection.correlations"), "correlations", path
-    )
-    means = _parse_floats(reader.expect_kv("scaler.means"), "scaler means", path)
-    stds = _parse_floats(reader.expect_kv("scaler.stds"), "scaler stds", path)
+        def floats(key):
+            return np.array(header[key].split(), dtype=np.float64)
 
-    try:
-        hidden_nodes = int(reader.expect_kv("elm.hidden_nodes"))
-        activation = Activation.from_name(reader.expect_kv("elm.activation"))
-        rbf_gamma = float(reader.expect_kv("elm.rbf_gamma"))
-        elm_seed = int(reader.expect_kv("elm.seed"))
-        n_features = int(reader.expect_kv("elm.n_features"))
-    except (ValueError, DataError) as exc:
-        raise IntegrityError(f"{path}: malformed model parameters: {exc}") from None
-
-    feature_names = []
-    for _ in range(n_original):
-        feature_names.append(reader.expect_kv("feature"))
-
-    matrices = {}
-    for key in ("input_weights", "biases", "output_weights"):
-        dims = reader.expect_kv(f"matrix.{key}").split()
-        if len(dims) != 2:
-            raise IntegrityError(f"{path}: malformed dimensions for {key}")
-        try:
-            rows, cols = int(dims[0]), int(dims[1])
-        except ValueError:
-            raise IntegrityError(f"{path}: malformed dimensions for {key}") from None
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            row = _parse_floats(reader.next_line(), key, path)
-            if row.shape[0] != cols:
-                raise IntegrityError(
-                    f"{path}: {key} row {r} has {row.shape[0]} values, expected {cols}"
-                )
-            data[r] = row
-        matrices[key] = data
-    if reader.next_line() != "end":
-        raise IntegrityError(f"{path}: missing end marker")
-
-    try:
         params = ElmParams(
-            hidden_nodes=hidden_nodes,
-            activation=activation,
-            seed=elm_seed,
-            rbf_gamma=rbf_gamma,
-        )
-        model = ElmModel(
-            input_weights=matrices["input_weights"],
-            biases=matrices["biases"],
-            output_weights=matrices["output_weights"],
-            params=params,
-            n_features=n_features,
+            hidden_nodes=int(header["elm.hidden_nodes"]),
+            activation=Activation.from_name(header["elm.activation"]),
+            seed=int(header["elm.seed"]),
+            rbf_gamma=float(header["elm.rbf_gamma"]),
         )
         return ModelArtifact(
-            model=model,
-            selection=FeatureSelection(kept_indices=kept, correlations=correlations),
-            scaler=ScalerState(means=means, stds=stds),
-            schema=schema,
-            feature_names=tuple(feature_names),
-            seed=seed,
-            fingerprint=digest,
-            source=source,
-            format_version=version,
+            model=ElmModel(params=params, n_features=int(header["elm.n_features"]), **matrices),
+            selection=FeatureSelection(
+                kept_indices=tuple(map(int, header["selection.kept"].split())),
+                correlations=floats("selection.correlations"),
+            ),
+            scaler=ScalerState(means=floats("scaler.means"), stds=floats("scaler.stds")),
+            schema=CsvSchema(
+                label_column=header["schema.label_column"],
+                benign_value=header["schema.benign_value"],
+                delimiter=header["schema.delimiter"],
+                exclude_columns=tuple(c for c in header["schema.exclude_columns"].split(",") if c),
+            ),
+            feature_names=feature_names,
+            seed=int(header["meta.seed"]),
+            fingerprint=header["meta.fingerprint"],
+            source=header["meta.source"],
         )
-    except (DataError, ShapeError) as exc:
-        raise IntegrityError(f"{path}: inconsistent artifact: {exc}") from None
+    except UnsupportedVersionError:
+        raise
+    except ValueError as exc:  # DataError, ShapeError and IntegrityError included
+        raise IntegrityError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

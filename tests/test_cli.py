@@ -455,6 +455,7 @@ class TestValueThatOverflowsWhenScaled:
         result = cli("evaluate", "--model", str(model), "--input", str(dirty))
         assert result.returncode == 0, result.stderr
         assert "skipped 1 record(s) with a value that overflows when scaled" in result.stderr
+        assert "Warning" not in result.stderr
         values = dict(line.partition("=")[::2] for line in result.stdout.splitlines() if "=" in line)
         assert int(values["n_samples"]) == 79
 
@@ -467,6 +468,7 @@ class TestValueThatOverflowsWhenScaled:
         assert out[2] == "2,ERROR,numeric field overflows when scaled"
         assert sum(",ERROR," in line for line in out) == 1
         assert "1 malformed record(s)" in result.stderr
+        assert "Warning" not in result.stderr
 
 
 class TestCategoricalModel:
@@ -694,6 +696,85 @@ class TestConfigFile:
         )
         assert r2.returncode == 0, r2.stderr
         assert "elm.hidden_nodes=8" in m2.read_text()
+
+
+class TestFlagValues:
+    """Each numeric flag is checked where argparse parses it, so a bad value
+    is a usage error (exit 1) as a flag and as a config file value."""
+
+    @pytest.fixture
+    def trained(self, cli, small_synth_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(small_synth_csv), "--model", str(model), "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        return model
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_nan_threshold_flag_exits_1(self, cli, trained, small_synth_csv, command):
+        result = cli(command, "--model", str(trained), "--input", str(small_synth_csv), "--threshold", "nan")
+        assert result.returncode == 1
+        assert "argument --threshold: invalid float (finite) value: 'nan'" in result.stderr
+        assert result.stdout == ""
+
+    def test_nan_threshold_in_config_file_exits_1(self, cli, trained, small_synth_csv, tmp_path):
+        config = tmp_path / "defaults.cfg"
+        config.write_text("threshold=nan\n")
+        result = cli("score", "--config", str(config), "--model", str(trained), "--input", str(small_synth_csv))
+        assert result.returncode == 1
+        assert "bad config value for threshold: 'nan'" in result.stderr
+        assert result.stdout == ""
+
+    def test_nan_rbf_gamma_exits_1(self, cli, small_synth_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(small_synth_csv), "--model", str(model),
+                     "--activation", "rbf", "--rbf-gamma", "nan")
+        assert result.returncode == 1
+        assert "argument --rbf-gamma" in result.stderr and "Traceback" not in result.stderr
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--threshold", "inf"),
+            ("train", "--hidden", "0"),
+            ("train", "--train-fraction", "nan"),
+            ("train", "--train-fraction", "1"),
+            ("train", "--corr-threshold", "nan"),
+            ("train", "--corr-threshold", "-0.1"),
+            ("train", "--rbf-gamma", "0"),
+            ("grid", "--hidden", "8,0"),
+            ("grid", "--hidden", ","),
+            ("grid", "--rbf-gamma", "1,nan"),
+            ("grid", "--folds", "1"),
+            ("grid", "--threshold", "1e999"),
+        ],
+    )
+    def test_each_rule_is_checked_at_parse_time(self, capsys, argv):
+        from flowelm import cli as cli_mod
+
+        command, *flags = argv
+        with pytest.raises(SystemExit) as info:
+            cli_mod.main([command, "--input", "never-read.csv", "--model", "never-written", *flags])
+        assert info.value.code == 1
+        assert f"argument {flags[0]}: invalid" in capsys.readouterr().err
+
+    def test_comma_lists_parse_to_tuples(self):
+        from flowelm.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["grid", "--input", "x", "--model", "m", "--hidden", "8, 16", "--rbf-gamma", "0.5,2"]
+        )
+        assert args.hidden == (8, 16) and args.rbf_gamma == (0.5, 2.0)
+        assert args.activation == ("tanh", "sigmoid", "rbf")
+
+    def test_negative_matrix_dimension_exits_2_without_traceback(self, cli, trained, small_synth_csv):
+        text = trained.read_text()
+        start = text.index("matrix.biases=") + len("matrix.biases=")
+        trained.write_text(text[:start] + "-1" + text[text.index(" ", start):])
+        result = cli("score", "--model", str(trained), "--input", str(small_synth_csv))
+        assert result.returncode == 2
+        assert "flowelm: load-model: " in result.stderr and "Traceback" not in result.stderr
+        assert "matrix.biases does not hold -1 rows" in result.stderr
 
 
 class TestExitCodeMapping:

@@ -284,6 +284,79 @@ class TestModelArtifact:
             )
 
 
+# A hand-written v1 artifact, every value as save_model writes it: a
+# categorical column, excluded columns, and each header line in file order.
+V1_TEXT = """flowelm-model v1
+schema.label_column=Label
+schema.benign_value=Benign
+schema.delimiter=;
+schema.exclude_columns=id,ts
+meta.seed=7
+meta.source=hand-built capture
+meta.fingerprint=00ff
+selection.n_original=4
+selection.kept=0 2 3
+selection.correlations=0.5 0 -0.25 0.125
+scaler.means=1 10 -3
+scaler.stds=2 5 0.5
+elm.hidden_nodes=2
+elm.activation=rbf
+elm.rbf_gamma=0.5
+elm.seed=11
+elm.n_features=3
+feature=rate
+feature=proto=tcp
+feature=proto=udp
+feature=size
+matrix.input_weights=3 2
+1 -1
+0.5 2
+-0.75 0.25
+matrix.biases=1 2
+0.25 -0.5
+matrix.output_weights=2 1
+0.75
+-1.5
+end
+"""
+
+
+class TestFormatV1:
+    def test_hand_written_artifact_saves_back_byte_for_byte(self, tmp_path):
+        path = write(tmp_path, V1_TEXT, "hand.flowelm")
+        artifact = dataio.load_model(path)
+        assert artifact.layout.vocabularies == (None, ("tcp", "udp"), None)
+        assert artifact.schema.exclude_columns == ("id", "ts")
+        dataio.save_model(artifact, tmp_path / "again.flowelm")
+        assert (tmp_path / "again.flowelm").read_bytes() == V1_TEXT.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "line, damaged",
+        [
+            ("matrix.biases=1 2", "matrix.biases=-1 2"),
+            ("matrix.biases=1 2", "matrix.biases=99999999999999999999 2"),
+            ("matrix.biases=1 2", "matrix.biases=1000000000000000 2"),  # 14 PiB if preallocated
+            ("matrix.biases=1 2", "matrix.biases=1"),
+            ("matrix.biases=1 2", "matrix.biases=1 3"),
+            ("matrix.input_weights=3 2", "matrix.input_weights=2 3"),
+            ("0.5 2\n", "0.5\n"),
+            ("schema.delimiter=;", "schema.delimiter=;;"),
+            ("elm.rbf_gamma=0.5", "elm.rbf_gamma=nan"),
+            ("elm.hidden_nodes=2", "elm.hidden_nodes=-2"),
+            ("elm.activation=rbf", "elm.activation=relu"),
+            ("selection.n_original=4", "selection.n_original=400000000000"),
+            ("meta.seed=7\nmeta.source", "meta.source=7\nmeta.seed"),
+            ("flowelm-model v1", "flowelm-model vx"),
+            ("-1.5\nend\n", "-1.5\n"),
+        ],
+    )
+    def test_damaged_header_or_matrix_is_an_integrity_error(self, tmp_path, line, damaged):
+        assert line in V1_TEXT
+        path = write(tmp_path, V1_TEXT.replace(line, damaged, 1), "damaged.flowelm")
+        with pytest.raises(IntegrityError, match="damaged.flowelm: "):
+            dataio.load_model(path)
+
+
 class TestFingerprint:
     def test_deterministic_and_content_sensitive(self):
         ds1 = FlowDataset(features=np.ones((2, 2)), labels=[0, 1], feature_names=("a", "b"))

@@ -1,5 +1,6 @@
-"""Property tests: stream and batch verdicts agree on random records, and
-records that cannot be scored fail closed with ERROR.
+"""Property tests: stream and batch verdicts agree on random records,
+records that cannot be scored fail closed with ERROR, and a damaged model
+artifact either loads or raises one of the artifact errors.
 
 The CLI runs in-process (`flowelm.cli.main`) so that each example is cheap.
 The model has a numeric, a categorical and another numeric column.
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowelm import cli, dataio, elm
+from flowelm.errors import IntegrityError, UnsupportedVersionError
 
 PROTOCOLS = ("icmp", "tcp", "udp")
 
@@ -30,6 +32,15 @@ mutations = st.one_of(
     st.tuples(st.sampled_from([0, 2]), non_finite),
     st.tuples(st.just(1), unknown_category),
     st.tuples(st.none(), st.sampled_from([-1, 1])),
+)
+
+# (edit, position, byte): a byte flipped, set or inserted, the file
+# truncated, a line duplicated or deleted, or a "-" put after a line's first
+# "=" (a negative count); positions wrap around
+artifact_edits = st.tuples(
+    st.sampled_from(["flip", "set", "insert", "truncate", "duplicate", "delete", "negate"]),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.one_of(st.integers(1, 255), st.sampled_from(b"0123456789-+.e =\nv")),
 )
 
 
@@ -108,3 +119,40 @@ def test_bad_record_gets_error_and_the_stream_goes_on(model, records, data, muta
     assert [v[0] for v in verdicts] == [str(i) for i in range(len(lines))]
     assert [i for i, v in enumerate(verdicts) if v[1] == "ERROR"] == [bad]
     assert "1 malformed record(s)" in err
+
+
+def damaged(data: bytes, edit, position, byte) -> bytes:
+    if edit in ("duplicate", "delete", "negate"):
+        lines = data.split(b"\n")
+        i = position % len(lines)
+        if edit == "negate":
+            lines[i] = lines[i].replace(b"=", b"=-", 1)
+        else:
+            lines[i : i + 1] = [lines[i]] * (2 if edit == "duplicate" else 0)
+        return b"\n".join(lines)
+    i = position % (len(data) + 1)
+    if edit == "truncate":
+        return data[:i]
+    if edit == "insert":
+        return data[:i] + bytes([byte]) + data[i:]
+    if not data:
+        return data
+    out = bytearray(data)
+    i %= len(out)
+    out[i] = out[i] ^ byte if edit == "flip" else byte
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(artifact_edits, min_size=1, max_size=3))
+def test_damaged_artifact_loads_or_raises_an_artifact_error(model, edits):
+    path, work = model
+    data = path.read_bytes()
+    for edit in edits:
+        data = damaged(data, *edit)
+    target = work / "damaged.flowelm"
+    target.write_bytes(data)
+    try:
+        dataio.load_model(target)
+    except (IntegrityError, UnsupportedVersionError):
+        pass
