@@ -28,7 +28,7 @@ EXIT_NUMERIC = 3
 
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on usage errors and keeps its options by destination, which
-    the config-file defaults look up in each of `build_parser`'s commands."""
+    the config-file defaults look up in the command being run."""
 
     def __init__(self, *args, **kwargs):
         self.options: dict[str, argparse.Action] = {}
@@ -179,17 +179,25 @@ def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
 
 def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
     """Report on rows of all ingested columns, scored through the artifact.
-    A row with a finite value that overflows when scaled is left out, and
-    counted on stderr."""
+    A row with a missing value in any ingested column, and then a row with
+    a finite value that overflows when scaled, is left out and counted on
+    stderr."""
+    finite = np.isfinite(data.features).all(axis=1)
+    skipped = int((~finite).sum())
+    if skipped:
+        print(f"flowelm: evaluate: skipped {skipped} record(s) with missing values"
+              " or unknown category values", file=sys.stderr)
+        if not finite.any():
+            _fail(EXIT_DATA, "evaluate", "no usable records after dropping missing values")
     x = artifact.transform(data.features)
-    in_range = np.isfinite(x).all(axis=1)
-    if not in_range.all():
-        print(f"flowelm: evaluate: skipped {int((~in_range).sum())} record(s) with a value"
+    keep = finite & np.isfinite(x).all(axis=1)
+    overflows = int(finite.sum() - keep.sum())
+    if overflows:
+        print(f"flowelm: evaluate: skipped {overflows} record(s) with a value"
               " that overflows when scaled", file=sys.stderr)
-        x, data = x[in_range], data.subset_rows(np.flatnonzero(in_range))
     scored = preprocess.FlowDataset(
-        features=x,
-        labels=data.labels,
+        features=x[keep],
+        labels=data.labels[keep],
         feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
         source=data.source,
     )
@@ -229,7 +237,7 @@ def _emit_outputs(args, artifact, report) -> None:
 
 
 def _load_and_prepare(args):
-    schema = _schema_from_args(args)
+    schema = _stage("schema", _schema_from_args, args)
     raw = _stage("load", dataio.load_csv, args.input, schema)
     data = _stage("clean", preprocess.clean, raw)
     cfg = PipelineConfig(
@@ -265,17 +273,14 @@ def _format_grid_line(entry: model_select.GridEntry) -> str:
 
 def cmd_grid(args) -> int:
     schema, prepared = _load_and_prepare(args)
-    try:
-        spec = model_select.GridSpec(
-            hidden_nodes=args.hidden,
-            activations=tuple(Activation.from_name(a) for a in args.activation),
-            rbf_gammas=args.rbf_gamma,
-            folds=args.folds,
-            seed=args.seed,
-            metric=args.metric,
-        )
-    except DataError as exc:
-        _fail(EXIT_USAGE, "grid", str(exc))
+    spec = model_select.GridSpec(
+        hidden_nodes=args.hidden,
+        activations=tuple(Activation.from_name(a) for a in args.activation),
+        rbf_gammas=args.rbf_gamma,
+        folds=args.folds,
+        seed=args.seed,
+        metric=args.metric,
+    )
     result = _stage("grid-search", model_select.grid_search, prepared.train, spec)
     print(f"Grid leaderboard ({spec.metric}, {spec.folds}-fold CV, best first):")
     for entry in result.entries:
@@ -286,7 +291,7 @@ def cmd_grid(args) -> int:
 
 def cmd_evaluate(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
-    schema = _schema_from_args(args, base=artifact.schema)
+    schema = _stage("schema", _schema_from_args, args, artifact.schema)
 
     def load_labeled():
         try:
@@ -296,16 +301,7 @@ def cmd_evaluate(args) -> int:
                 f"{exc} (evaluate needs a labeled CSV; use 'flowelm score' for unlabeled records)"
             ) from None
 
-    raw = _stage("load", load_labeled)
-    finite = np.isfinite(raw.features).all(axis=1)
-    skipped = int(raw.n_samples - finite.sum())
-    if skipped:
-        print(f"flowelm: evaluate: skipped {skipped} record(s) with missing values"
-              " or unknown category values", file=sys.stderr)
-    usable = raw.subset_rows(np.where(finite)[0])
-    if usable.n_samples == 0:
-        _fail(EXIT_DATA, "evaluate", "no usable records after dropping missing values")
-    report = _evaluate(artifact, usable, args.threshold)
+    report = _evaluate(artifact, _stage("load", load_labeled), args.threshold)
     sys.stdout.write(format_report(report))
     display_summary(report)
     if args.report:
@@ -490,6 +486,7 @@ _fraction = _checked(float, "float (strictly between 0 and 1)", lambda f: 0 < f 
 _gamma = _checked(float, "float (finite, > 0)", lambda g: math.isfinite(g) and g > 0)
 _hidden = _checked(int, "int (>= 1)", lambda h: h >= 1)
 _folds = _checked(int, "int (>= 2)", lambda k: k >= 2)
+_activation = _checked(str, "activation (tanh, sigmoid or rbf)", lambda a: a in ("tanh", "sigmoid", "rbf"))
 
 
 def _add_pipeline_flags(parser):
@@ -515,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(p_train)
     _add_pipeline_flags(p_train)
     p_train.add_argument("--hidden", type=_hidden, default=64, help="hidden node count")
-    p_train.add_argument("--activation", default="tanh", choices=["tanh", "sigmoid", "rbf"])
+    p_train.add_argument("--activation", type=_activation, default="tanh", help="tanh, sigmoid or rbf")
     p_train.add_argument("--rbf-gamma", type=_gamma, default=1.0, help="RBF kernel width")
     p_train.set_defaults(func=cmd_train)
 
@@ -528,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_grid)
     p_grid.add_argument("--hidden", type=_comma(_hidden), default=model_select.DEFAULT_HIDDEN_NODES,
                         help="comma-separated hidden node candidates")
-    p_grid.add_argument("--activation", type=_comma(str), default=("tanh", "sigmoid", "rbf"),
+    p_grid.add_argument("--activation", type=_comma(_activation), default=("tanh", "sigmoid", "rbf"),
                         help="comma-separated activation candidates")
     p_grid.add_argument("--rbf-gamma", type=_comma(_gamma), default=(1.0,),
                         help="comma-separated RBF gamma candidates")
@@ -564,20 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attack mix as NAME=WEIGHT pairs, comma-separated")
     p_synth.set_defaults(func=cmd_synth)
 
-    parser.commands = [p_train, p_grid, p_eval, p_score, p_synth]
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Pre-scan for --config and install its key=value pairs as defaults."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return
+def _apply_config_file(parser, command, path):
+    """Install a config file's key=value pairs as the running command's
+    defaults. A key the command has no flag for is ignored; a value goes
+    through its flag's type and choices."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [raw.strip() for raw in fh]
@@ -591,28 +582,31 @@ def _apply_config_file(parser, argv):
             parser.error(f"bad config line {line!r}; expected key=value")
         key, _, value = line.partition("=")
         defaults[key.strip().replace("-", "_")] = value.strip()
-    for command in parser.commands:
-        usable = {}
-        for key, value in defaults.items():
-            action = command.options.get(key)
-            if action is None:
-                continue
-            if action.nargs == 0:  # an on/off flag such as --leak-free
-                value = value.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                try:
-                    value = action.type(value)
-                except (TypeError, ValueError):
-                    parser.error(f"bad config value for {key}: {value!r}")
-            usable[key] = value
-        command.set_defaults(**usable)
+    usable = {}
+    for key, text in defaults.items():
+        action = command.options.get(key)
+        if action is None:
+            continue
+        if action.nargs == 0:  # an on/off flag such as --leak-free
+            usable[key] = text.lower() in ("1", "true", "yes", "on")
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(text)
+        except (TypeError, ValueError):
+            parser.error(f"bad config value for {key}: {text!r}")
+        usable[key] = value
+    command.set_defaults(**usable)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
+    if args.config is not None:
+        _apply_config_file(parser, parser.commands[args.command], args.config)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _StageFailure as exc:

@@ -59,6 +59,10 @@ class CsvSchema:
         if len(self.delimiter) != 1 or not self.delimiter.isprintable():
             raise DataError("delimiter must be a single printable character")
         object.__setattr__(self, "exclude_columns", tuple(self.exclude_columns))
+        # the artifact holds each schema value on one line
+        broken = [v for v in (self.label_column, self.benign_value, *self.exclude_columns) if "\n" in v]
+        if broken:
+            raise SchemaError(f"line breaks are not allowed in schema values: {broken}")
 
 
 @dataclass(frozen=True)
@@ -449,21 +453,21 @@ def load_model(path) -> ModelArtifact:
 
 ATTACK_CATEGORIES = ("DDoS", "DoS", "Recon", "Spoofing", "MQTT")
 
-# (name, benign mean, benign std, clip range). The request-rate feature is
-# first so it survives any n_features truncation; every attack category
-# shifts it by at least +4 benign sigmas, which keeps the two classes at
-# least 3 pooled standard deviations apart for any category mix.
+# (name, benign mean, benign std, lower clip, upper clip). The request-rate
+# feature is first so it survives any n_features truncation; every attack
+# category shifts it by at least +4 benign sigmas, which keeps the two
+# classes at least 3 pooled standard deviations apart for any category mix.
 _FEATURES = (
-    ("conn_request_rate", 4.0, 1.5, (0.0, None)),
-    ("packet_size_mean", 520.0, 180.0, (1.0, None)),
-    ("inter_arrival_ms", 120.0, 40.0, (0.0, None)),
-    ("distinct_ports", 3.0, 1.2, (0.0, None)),
-    ("mqtt_publish_rate", 1.5, 0.6, (0.0, None)),
-    ("addr_consistency", 0.97, 0.01, (0.0, 1.0)),
-    ("port_entropy", 0.9, 0.35, (0.0, None)),
-    ("flow_duration_s", 8.0, 3.0, (0.0, None)),
-    ("packet_size_std", 90.0, 30.0, (0.0, None)),
-    ("inter_arrival_jitter", 25.0, 8.0, (0.0, None)),
+    ("conn_request_rate", 4.0, 1.5, 0.0, math.inf),
+    ("packet_size_mean", 520.0, 180.0, 1.0, math.inf),
+    ("inter_arrival_ms", 120.0, 40.0, 0.0, math.inf),
+    ("distinct_ports", 3.0, 1.2, 0.0, math.inf),
+    ("mqtt_publish_rate", 1.5, 0.6, 0.0, math.inf),
+    ("addr_consistency", 0.97, 0.01, 0.0, 1.0),
+    ("port_entropy", 0.9, 0.35, 0.0, math.inf),
+    ("flow_duration_s", 8.0, 3.0, 0.0, math.inf),
+    ("packet_size_std", 90.0, 30.0, 0.0, math.inf),
+    ("inter_arrival_jitter", 25.0, 8.0, 0.0, math.inf),
 )
 
 # mean shifts per category, in units of the benign std
@@ -545,63 +549,38 @@ def _category_counts(spec: SyntheticSpec) -> list[tuple[str, int]]:
     return [(name, counts[name]) for name in ATTACK_CATEGORIES]
 
 
-def _feature_plan(n_features: int):
-    """Feature names plus per-feature generation parameters."""
-    plan = []
-    for name, mean, std, clip in _FEATURES[: min(n_features, len(_FEATURES))]:
-        plan.append(("gauss", name, mean, std, clip))
-    remaining = n_features - len(plan)
-    if remaining >= 1:
-        plan.append(("proto_tcp", "proto_tcp", 0.0, 0.0, None))
-        remaining -= 1
-    if remaining >= 1:
-        plan.append(("proto_udp", "proto_udp", 0.0, 0.0, None))
-        remaining -= 1
-    for extra in range(remaining):
-        plan.append(("noise", f"noise_{extra}", 0.0, 1.0, None))
-    return plan
-
-
 def generate_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> FlowDataset:
     """Deterministic labeled flows: a benign baseline plus shifted attack rows.
 
     Rows come out benign block first, then attack categories in fixed
-    order; values are drawn row-major from a single seeded stream.
+    order. Each row is drawn from one seeded stream, column by column: the
+    clipped Gaussian features, then proto_tcp (proto_udp is its
+    complement), then standard-normal noise columns; n_features keeps a
+    prefix of that list, and only kept columns draw.
     """
-    plan = _feature_plan(spec.n_features)
+    n = spec.n_features
+    gauss = _FEATURES[:n]
+    names = [f[0] for f in _FEATURES] + ["proto_tcp", "proto_udp"]
+    names = (names + [f"noise_{k}" for k in range(n - len(names))])[:n]
     rng = Rng(spec.seed)
-    groups = [("Benign", spec.n_benign)] + _category_counts(spec)
-
     rows = []
     categories = []
-    for category, count in groups:
+    for category, count in [("Benign", spec.n_benign)] + _category_counts(spec):
         shifts = _SHIFTS.get(category, {})
+        p_tcp = _TCP_PROBABILITY["benign" if category == "Benign" else category]
         for _ in range(count):
-            row = np.empty(len(plan))
-            tcp = None
-            for j, (kind, name, mean, std, clip) in enumerate(plan):
-                if kind == "gauss":
-                    shifted = mean + shifts.get(name, 0.0) * std
-                    value = rng.normal(shifted, std)
-                    if clip is not None:
-                        low, high = clip
-                        if low is not None:
-                            value = max(low, value)
-                        if high is not None:
-                            value = min(high, value)
-                elif kind == "proto_tcp":
-                    p = _TCP_PROBABILITY["benign" if category == "Benign" else category]
-                    tcp = 1.0 if rng.random() < p else 0.0
-                    value = tcp
-                elif kind == "proto_udp":
-                    value = 1.0 - tcp  # complement; always follows proto_tcp in the plan
-                else:  # uninformative noise column
-                    value = rng.normal(0.0, 1.0)
-                row[j] = value
+            row = [
+                min(high, max(low, rng.normal(mean + shifts.get(name, 0.0) * std, std)))
+                for name, mean, std, low, high in gauss
+            ]
+            if n > len(row):
+                tcp = 1.0 if rng.random() < p_tcp else 0.0
+                row += [tcp, 1.0 - tcp][: n - len(row)]
+            row += [rng.normal() for _ in range(n - len(row))]
             rows.append(row)
             categories.append(category)
 
-    features = np.vstack(rows) if rows else np.empty((0, len(plan)))
+    features = np.array(rows, dtype=np.float64).reshape(-1, n)
     labels = np.array([0 if c == "Benign" else 1 for c in categories], dtype=np.int64)
     mix_text = ",".join(
         f"{name}:{format_float(weight)}" for name, weight in sorted(spec.attack_mix.items())
@@ -613,7 +592,7 @@ def generate_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> FlowDataset:
     return FlowDataset(
         features=features,
         labels=labels,
-        feature_names=tuple(name for _, name, _, _, _ in plan),
+        feature_names=tuple(names),
         source=source,
         categories=tuple(categories),
     )

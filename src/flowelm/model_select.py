@@ -18,8 +18,8 @@ from . import metrics
 from . import elm
 from .elm import Activation, ElmParams
 from .errors import DataError, FlowElmError, StratificationError
-from .preprocess import FlowDataset, apply_scaler, fit_scaler
-from .rng import Rng, derive_seed, float_bits
+from .preprocess import FlowDataset, apply_scaler, fit_scaler, stratified_deal
+from .rng import derive_seed, float_bits
 
 DEFAULT_HIDDEN_NODES = (16, 32, 64, 128, 256, 512, 1024)
 
@@ -45,29 +45,25 @@ class GridSpec:
 
 
 def kfold_indices(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stratified folds: each class is shuffled and dealt round-robin.
+    """Stratified folds: fold k validates on idx[k::folds] of each class's
+    shuffled indices from stratified_deal().
 
     Returns (train_indices, validation_indices) pairs, one per fold, both
     sorted ascending. Deterministic for a given seed.
     """
-    labels = np.asarray(labels).astype(np.int64)
     if folds < 2:
         raise DataError("folds must be >= 2")
-    rng = Rng(seed)
-    assignment: list[list[int]] = [[] for _ in range(folds)]
-    for cls in (0, 1):
-        idx = [int(i) for i in np.where(labels == cls)[0]]
+    classes = stratified_deal(labels, seed)
+    for cls, idx in enumerate(classes):
         if len(idx) < folds:
             raise StratificationError(
                 f"class {cls} has {len(idx)} sample(s) but {folds} folds were requested"
             )
-        rng.shuffle(idx)
-        for position, row in enumerate(idx):
-            assignment[position % folds].append(row)
     pairs = []
     for k in range(folds):
-        in_train = np.ones(labels.shape[0], dtype=bool)
-        in_train[assignment[k]] = False
+        in_train = np.ones(len(labels), dtype=bool)
+        for idx in classes:
+            in_train[idx[k::folds]] = False
         pairs.append((np.flatnonzero(in_train), np.flatnonzero(~in_train)))
     return pairs
 

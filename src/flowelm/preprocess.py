@@ -238,39 +238,37 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(
-    data: FlowDataset,
-    train_fraction: float,
-    seed: int,
-    stratified: bool = True,
-) -> SplitResult:
-    """Seeded train/test split, stratified by class unless disabled.
+def stratified_deal(labels, seed: int) -> list[list[int]]:
+    """Each class's row indices, class 0 first, shuffled by one Rng(seed).
 
-    Within each class the row indices are shuffled and round(count *
-    fraction) of them go to the training side. Selected indices are
+    split() and model_select.kfold_indices() both deal rows from this.
+    """
+    labels = np.asarray(labels)
+    rng = Rng(seed)
+    classes = []
+    for cls in (0, 1):
+        idx = np.flatnonzero(labels == cls).tolist()
+        rng.shuffle(idx)
+        classes.append(idx)
+    return classes
+
+
+def split(data: FlowDataset, train_fraction: float, seed: int) -> SplitResult:
+    """Seeded train/test split, stratified by class.
+
+    Each class's shuffled indices from stratified_deal() give their first
+    round(count * fraction) to the training side. Selected indices are
     re-sorted so each side preserves the original row order.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DataError("train_fraction must be strictly between 0 and 1")
-    rng = Rng(seed)
-    train_idx: list[int] = []
-    if stratified:
-        for cls in (0, 1):
-            idx = [int(i) for i in np.where(data.labels == cls)[0]]
-            if len(idx) < 2:
-                raise StratificationError(
-                    f"class {cls} has {len(idx)} sample(s); stratified split needs >= 2"
-                )
-            rng.shuffle(idx)
-            train_idx.extend(idx[: _round_half_up(len(idx) * train_fraction)])
-    else:
-        idx = list(range(data.n_samples))
-        if len(idx) < 2:
-            raise DataError("split needs at least 2 rows")
-        rng.shuffle(idx)
-        train_idx.extend(idx[: _round_half_up(len(idx) * train_fraction)])
     in_train = np.zeros(data.n_samples, dtype=bool)
-    in_train[train_idx] = True
+    for cls, idx in enumerate(stratified_deal(data.labels, seed)):
+        if len(idx) < 2:
+            raise StratificationError(
+                f"class {cls} has {len(idx)} sample(s); stratified split needs >= 2"
+            )
+        in_train[idx[: _round_half_up(len(idx) * train_fraction)]] = True
     return SplitResult(
         train=data.subset_rows(np.flatnonzero(in_train)),
         test=data.subset_rows(np.flatnonzero(~in_train)),

@@ -89,9 +89,6 @@ class Rng:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def uniform_matrix(self, rows: int, cols: int, low: float, high: float) -> np.ndarray:
         """Matrix of i.i.d. uniforms; row-major fill order is part of the contract."""
         out = np.empty(rows * cols, dtype=np.float64)

@@ -227,6 +227,41 @@ class TestEvaluate:
         )
         assert int(values["n_samples"]) == len(lines) - 2  # header and bad row
 
+    def test_missing_value_in_a_dropped_column_still_skips_the_row(self, cli, strongly_separated_csv, tmp_path):
+        # y is noise, so a 0.5 correlation threshold keeps x alone
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(strongly_separated_csv), "--model", str(model),
+                     "--corr-threshold", "0.5")
+        assert result.returncode == 0, result.stderr
+        assert dataio.load_model(model).selection.kept_indices == (0,)
+        lines = strongly_separated_csv.read_text().splitlines()
+        x, _, label = lines[1].split(",")
+        lines[1] = f"{x},nan,{label}"
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join(lines) + "\n")
+        result = cli("evaluate", "--model", str(model), "--input", str(dirty))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (
+            "flowelm: evaluate: skipped 1 record(s) with missing values or unknown category values\n"
+        )
+        values = dict(line.partition("=")[::2] for line in result.stdout.splitlines() if "=" in line)
+        assert int(values["n_samples"]) == len(lines) - 2  # header and bad row
+
+    def test_every_row_missing_a_value_exits_2(self, cli, strongly_separated_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(strongly_separated_csv), "--model", str(model)).returncode == 0
+        lines = strongly_separated_csv.read_text().splitlines()
+        holes = [lines[0]] + ["," + line.split(",", 1)[1] for line in lines[1:]]
+        capture = tmp_path / "holes.csv"
+        capture.write_text("\n".join(holes) + "\n")
+        result = cli("evaluate", "--model", str(model), "--input", str(capture))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"flowelm: evaluate: skipped {len(lines) - 1} record(s) with missing values or unknown category values",
+            "flowelm: evaluate: no usable records after dropping missing values",
+        ]
+        assert result.stdout == ""
+
     def test_attack_only_capture_reports_recall(self, cli, strongly_separated_csv, tmp_path):
         model = tmp_path / "m.flowelm"
         cli("train", "--input", str(strongly_separated_csv), "--model", str(model), "--hidden", "24")
@@ -574,6 +609,26 @@ class TestCategoricalModel:
         assert "line break" in result.stderr
         assert not model.exists()
 
+    def test_line_break_in_label_column_rejected(self, cli, proto_csv, tmp_path):
+        # save_model writes each schema value on one line
+        text = proto_csv.read_text().replace(",Label\n", ',"Lab\nel"\n', 1)
+        path = tmp_path / "nl.csv"
+        path.write_text(text)
+        model = tmp_path / "nl.flowelm"
+        result = cli("train", "--input", str(path), "--model", str(model), "--label-column", "Lab\nel")
+        assert result.returncode == 2
+        assert "flowelm: schema: line breaks are not allowed" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not model.exists()
+
+    @pytest.mark.parametrize("field", ["label_column", "benign_value", "exclude_columns"])
+    def test_schema_rejects_a_line_break(self, field):
+        from flowelm.errors import SchemaError
+
+        value = ("ok", "b\nad") if field == "exclude_columns" else "b\nad"
+        with pytest.raises(SchemaError, match="line breaks"):
+            dataio.CsvSchema(**{field: value})
+
     def test_equals_sign_in_column_name_rejected(self, cli, tmp_path):
         path = tmp_path / "eq.csv"
         path.write_text("a=b,c,Label\n1,2,Benign\n2,1,DDoS\n3,1,DDoS\n1,3,Benign\n")
@@ -698,6 +753,47 @@ class TestConfigFile:
         assert "elm.hidden_nodes=8" in m2.read_text()
 
 
+    def test_bad_activation_in_config_file_exits_1(self, cli, small_synth_csv, tmp_path):
+        config = tmp_path / "defaults.cfg"
+        config.write_text("activation=bogus\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--config", str(config), "--input", str(small_synth_csv), "--model", str(model))
+        assert result.returncode == 1
+        assert "bad config value for activation: 'bogus'" in result.stderr
+        assert "Traceback" not in result.stderr and not model.exists()
+
+    def test_value_outside_choices_in_config_file_exits_1(self, cli, small_synth_csv, tmp_path):
+        config = tmp_path / "defaults.cfg"
+        config.write_text("metric=recall\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("grid", "--config", str(config), "--input", str(small_synth_csv), "--model", str(model))
+        assert result.returncode == 1
+        assert "bad config value for metric: 'recall'" in result.stderr
+        assert "Traceback" not in result.stderr and not model.exists()
+
+    def test_values_are_read_for_the_command_being_run(self, cli, small_synth_csv, tmp_path):
+        # train's --hidden takes one integer; grid's takes a list
+        config = tmp_path / "defaults.cfg"
+        config.write_text("hidden=8,16\nactivation=tanh,rbf\nfolds=3\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("grid", "--config", str(config), "--input", str(small_synth_csv), "--model", str(model))
+        assert result.returncode == 0, result.stderr
+        board = [line.split()[:2] for line in result.stdout.splitlines() if line.startswith("  hidden=")]
+        assert sorted(board) == [["hidden=16", "activation=rbf"], ["hidden=16", "activation=tanh"],
+                                 ["hidden=8", "activation=rbf"], ["hidden=8", "activation=tanh"]]
+        assert "(f1, 3-fold CV" in result.stdout
+
+    def test_keys_without_a_flag_in_the_command_are_ignored(self, cli, small_synth_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(small_synth_csv), "--model", str(model), "--hidden", "8").returncode == 0
+        config = tmp_path / "defaults.cfg"
+        config.write_text("hidden=8,16\nmetric=recall\nfolds=1\nno_such_key=1\nthreshold=0.25\n")
+        with_config = cli("score", "--config", str(config), "--model", str(model), "--input", str(small_synth_csv))
+        flagged = cli("score", "--model", str(model), "--input", str(small_synth_csv), "--threshold", "0.25")
+        assert with_config.returncode == 0, with_config.stderr
+        assert with_config.stdout == flagged.stdout and with_config.stdout
+
+
 class TestFlagValues:
     """Each numeric flag is checked where argparse parses it, so a bad value
     is a usage error (exit 1) as a flag and as a config file value."""
@@ -747,6 +843,8 @@ class TestFlagValues:
             ("grid", "--rbf-gamma", "1,nan"),
             ("grid", "--folds", "1"),
             ("grid", "--threshold", "1e999"),
+            ("train", "--activation", "bogus"),
+            ("grid", "--activation", "tanh,bogus"),
         ],
     )
     def test_each_rule_is_checked_at_parse_time(self, capsys, argv):

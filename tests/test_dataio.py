@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from flowelm.errors import (
     UnsupportedVersionError,
 )
 from flowelm.preprocess import FeatureSelection, FlowDataset, ScalerState
+from flowelm.rng import Rng
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -366,7 +369,65 @@ class TestFingerprint:
         assert dataio.fingerprint(ds1) != dataio.fingerprint(ds3)
 
 
+# The generator's documented tables: (name, benign mean, benign std, lower
+# clip, upper clip), the mean shifts of two categories in benign sigmas,
+# and the chance of proto_tcp=1.
+_GAUSS = (
+    ("conn_request_rate", 4.0, 1.5, 0.0, math.inf),
+    ("packet_size_mean", 520.0, 180.0, 1.0, math.inf),
+    ("inter_arrival_ms", 120.0, 40.0, 0.0, math.inf),
+    ("distinct_ports", 3.0, 1.2, 0.0, math.inf),
+    ("mqtt_publish_rate", 1.5, 0.6, 0.0, math.inf),
+    ("addr_consistency", 0.97, 0.01, 0.0, 1.0),
+    ("port_entropy", 0.9, 0.35, 0.0, math.inf),
+    ("flow_duration_s", 8.0, 3.0, 0.0, math.inf),
+    ("packet_size_std", 90.0, 30.0, 0.0, math.inf),
+    ("inter_arrival_jitter", 25.0, 8.0, 0.0, math.inf),
+)
+_SHIFTS = {
+    "Recon": {"conn_request_rate": 4.0, "distinct_ports": 6.0, "port_entropy": 4.0},
+    "Spoofing": {"conn_request_rate": 4.0, "addr_consistency": -8.0, "inter_arrival_jitter": 2.0},
+}
+_P_TCP = {"Benign": 0.7, "Recon": 0.6, "Spoofing": 0.6}
+
+
+def reference_synthetic(n_benign, n_attack, category, n_features, seed):
+    """Rows drawn in the documented order from one Rng: per row, each kept
+    Gaussian column, then one uniform for proto_tcp if it is kept (proto_udp
+    is its complement), then a standard normal per noise column."""
+    rng = Rng(seed)
+    rows = []
+    for cat, count in (("Benign", n_benign), (category, n_attack)):
+        for _ in range(count):
+            row = []
+            for name, mean, std, low, high in _GAUSS[:n_features]:
+                value = rng.normal(mean + _SHIFTS.get(cat, {}).get(name, 0.0) * std, std)
+                row.append(min(high, max(low, value)))
+            if n_features > len(_GAUSS):
+                tcp = 1.0 if rng.random() < _P_TCP[cat] else 0.0
+                row.extend([tcp, 1.0 - tcp][: n_features - len(_GAUSS)])
+            while len(row) < n_features:
+                row.append(rng.normal())
+            rows.append(row)
+    names = [g[0] for g in _GAUSS] + ["proto_tcp", "proto_udp"]
+    names += [f"noise_{k}" for k in range(n_features - len(names))]
+    return np.array(rows), tuple(names[:n_features])
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n_features", [1, 6, 10, 11, 12, 15])
+    @pytest.mark.parametrize(
+        "n_benign, n_attack, category", [(6, 9, "Recon"), (0, 11, "Spoofing")]
+    )
+    def test_rows_follow_the_documented_draw_order(self, n_benign, n_attack, category, n_features):
+        spec = SyntheticSpec(n_benign=n_benign, n_attack=n_attack, attack_mix={category: 1.0},
+                             n_features=n_features, seed=31)
+        ds = dataio.generate_synthetic(spec)
+        rows, names = reference_synthetic(n_benign, n_attack, category, n_features, 31)
+        assert ds.feature_names == names
+        assert ds.features.tobytes() == rows.tobytes()
+        assert ds.categories == ("Benign",) * n_benign + (category,) * n_attack
+
     def test_deterministic(self):
         spec = SyntheticSpec(n_benign=100, n_attack=100, seed=7)
         a = dataio.generate_synthetic(spec)

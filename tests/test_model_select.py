@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from flowelm import model_select
+from flowelm import model_select, preprocess
 from flowelm.elm import Activation, ElmParams
 from flowelm.errors import DataError, StratificationError
 from flowelm.model_select import GridSpec
 from flowelm.preprocess import FlowDataset
+from flowelm.rng import Rng
 
 
 def balanced_labels(n_per_class):
@@ -23,6 +26,56 @@ def separable_data():
     )
     labels = (signal > 0).astype(int)
     return FlowDataset(features=features, labels=labels, feature_names=("sig", "n1", "n2"))
+
+
+def reference_deal(labels, seed):
+    """Each class's row indices, class 0 first, Fisher-Yates shuffled by
+    one Rng(seed) from the last element down."""
+    rng = Rng(seed)
+    classes = []
+    for cls in (0, 1):
+        idx = [i for i, y in enumerate(labels) if y == cls]
+        for i in range(len(idx) - 1, 0, -1):
+            j = rng.randbelow(i + 1)
+            idx[i], idx[j] = idx[j], idx[i]
+        classes.append(idx)
+    return classes
+
+
+class TestStratifiedDeal:
+    """split() takes each class's round-half-up prefix of the deal; fold k
+    validates on idx[k::folds] of each class."""
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (7, 1), (23, 5), (60, 11), (97, 3)])
+    def test_split_and_folds_follow_the_documented_deal(self, n, seed):
+        rs = np.random.RandomState(n)
+        labels = rs.randint(0, 2, n)
+        labels[:4] = [1, 0, 0, 1]
+        class0, class1 = reference_deal(labels, seed)
+        data = FlowDataset(features=np.arange(n, dtype=float)[:, None], labels=labels, feature_names=("row",))
+        for fraction in (0.8, 0.5, 0.3):
+            train = sorted(
+                idx[i] for idx in (class0, class1) for i in range(int(math.floor(len(idx) * fraction + 0.5)))
+            )
+            result = preprocess.split(data, fraction, seed)
+            assert result.train.features[:, 0].tolist() == train
+            assert result.test.features[:, 0].tolist() == sorted(set(range(n)) - set(train))
+        for folds in range(2, min(len(class0), len(class1)) + 1):
+            pairs = model_select.kfold_indices(labels, folds, seed)
+            assert len(pairs) == folds
+            for k, (train_idx, valid_idx) in enumerate(pairs):
+                valid = sorted(class0[k::folds] + class1[k::folds])
+                assert valid_idx.tolist() == valid
+                assert train_idx.tolist() == sorted(set(range(n)) - set(valid))
+
+    def test_too_small_classes_keep_their_messages(self):
+        one = FlowDataset(features=np.zeros((4, 1)), labels=[0, 1, 1, 1], feature_names=("f",))
+        with pytest.raises(StratificationError, match=r"^class 0 has 1 sample\(s\); stratified split needs >= 2$"):
+            preprocess.split(one, 0.8, seed=0)
+        with pytest.raises(StratificationError, match=r"^class 0 has 1 sample\(s\) but 3 folds were requested$"):
+            model_select.kfold_indices(one.labels, 3, seed=0)
+        with pytest.raises(StratificationError, match=r"^class 1 has 2 sample\(s\) but 3 folds were requested$"):
+            model_select.kfold_indices([0, 0, 0, 1, 1], 3, seed=0)
 
 
 class TestKfold:

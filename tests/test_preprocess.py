@@ -278,8 +278,3 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DataError):
                 preprocess.split(ds, bad, seed=0)
-
-    def test_plain_split_available(self):
-        ds = self.balanced(10)
-        res = preprocess.split(ds, 0.8, seed=4, stratified=False)
-        assert res.train.n_samples == 16 and res.test.n_samples == 4

@@ -1,13 +1,16 @@
 """Property tests: stream and batch verdicts agree on random records,
-records that cannot be scored fail closed with ERROR, and a damaged model
-artifact either loads or raises one of the artifact errors.
+records that cannot be scored fail closed with ERROR, arbitrary bytes on
+the stream get one verdict per line, and a damaged model artifact either
+loads or raises one of the artifact errors.
 
 The CLI runs in-process (`flowelm.cli.main`) so that each example is cheap.
 The model has a numeric, a categorical and another numeric column.
 """
 
 import contextlib
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +35,24 @@ mutations = st.one_of(
     st.tuples(st.sampled_from([0, 2]), non_finite),
     st.tuples(st.just(1), unknown_category),
     st.tuples(st.none(), st.sampled_from([-1, 1])),
+)
+
+# pieces of a streamed line: numbers, non-finite literals, CSV syntax, the
+# category names and bytes that are not UTF-8
+stream_pieces = st.sampled_from(
+    [b"0", b"1", b"7", b"-", b"+", b".", b"e", b"nan", b"inf", b",", b'"', b"\r", b" ",
+     *(p.encode() for p in PROTOCOLS), b"\xff", b"\xc3", b"\x80"]
+)
+stream_noise = st.lists(stream_pieces, max_size=6).map(b"".join)
+stream_number = st.floats().map(lambda x: repr(x).encode())
+stream_category = st.sampled_from(PROTOCOLS).map(str.encode)
+stream_lines = st.one_of(
+    st.tuples(
+        st.one_of(stream_number, stream_noise),
+        st.one_of(stream_category, stream_noise),
+        st.one_of(stream_number, stream_noise),
+    ).map(b",".join),
+    st.lists(st.one_of(stream_number, stream_category, stream_noise), max_size=5).map(b",".join),
 )
 
 # (edit, position, byte): a byte flipped, set or inserted, the file
@@ -119,6 +140,42 @@ def test_bad_record_gets_error_and_the_stream_goes_on(model, records, data, muta
     assert [v[0] for v in verdicts] == [str(i) for i in range(len(lines))]
     assert [i for i, v in enumerate(verdicts) if v[1] == "ERROR"] == [bad]
     assert "1 malformed record(s)" in err
+
+
+def reference_record(line: bytes):
+    """None for a line that is blank by the CSV rules, else whether it holds
+    3 fields: finite numbers around a known category."""
+    try:
+        row = next(csv.reader([line.decode("utf-8")]), [])
+    except (UnicodeDecodeError, csv.Error):
+        return False
+    if not row:
+        return None
+    if len(row) != 3 or row[1].strip() not in PROTOCOLS:
+        return False
+    try:
+        return math.isfinite(float(row[0])) and math.isfinite(float(row[2]))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(stream_lines, min_size=1, max_size=20), st.booleans())
+def test_arbitrary_stream_bytes_get_one_verdict_per_line(model, lines, final_newline):
+    path, work = model
+    stream = work / "fuzz.csv"
+    stream.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+
+    code, out, err = run("score", "--model", path, "--input", stream)
+    assert code == 0, err
+    expected = [ok for ok in map(reference_record, lines) if ok is not None]
+    verdicts = [line.split(",", 2) for line in out.splitlines()]
+    assert [v[0] for v in verdicts] == [str(i) for i in range(len(expected))]
+    for ok, (_, verdict, rest) in zip(expected, verdicts):
+        if not ok:
+            assert verdict == "ERROR"
+        elif verdict == "ERROR":
+            assert rest == "numeric field overflows when scaled"
 
 
 def damaged(data: bytes, edit, position, byte) -> bytes:
