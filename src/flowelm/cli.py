@@ -153,27 +153,38 @@ def _schema_from_args(args, base: dataio.CsvSchema | None = None) -> dataio.CsvS
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
-    data: preprocess.FlowDataset  # cleaned, all ingested columns
     selection: preprocess.FeatureSelection
     train: preprocess.FlowDataset  # selected columns, unscaled
     test: preprocess.FlowDataset  # all ingested columns; the artifact selects
+    # of the cleaned data, for the artifact
+    feature_names: tuple[str, ...]
+    fingerprint: str
+    source: str
 
 
 def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
     """Split rows, then select features from the full data (or, leak-free,
-    from the training rows only) and restrict both sides to them."""
-    split_result = _stage(
-        "split", preprocess.split, data, cfg.train_fraction, cfg.seed
-    )
-    selection_source = split_result.train if cfg.leak_free else data
+    from the training rows only) and restrict the training side to them.
+
+    The split is drawn as row indices first; the training side is then
+    taken with only the selected columns, so no full-width copy of it is
+    made unless leak-free selection reads one. When the caller passes its
+    last reference to `data`, the data goes on return.
+    """
+    train_rows, test_rows = _stage("split", preprocess.split_indices, data.labels, cfg.train_fraction, cfg.seed)
     selection = _stage(
-        "select-features", preprocess.select_features, selection_source, cfg.corr_threshold
+        "select-features",
+        preprocess.select_features,
+        data.subset_rows(train_rows) if cfg.leak_free else data,
+        cfg.corr_threshold,
     )
     return PreparedData(
-        data=data,
         selection=selection,
-        train=split_result.train.subset_columns(selection.kept_indices),
-        test=split_result.test,
+        train=data.subset_rows(train_rows, selection.kept_indices),
+        test=data.subset_rows(test_rows),
+        feature_names=data.feature_names,
+        fingerprint=dataio.fingerprint(data),
+        source=data.source,
     )
 
 
@@ -181,7 +192,7 @@ def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, thre
     """Report on rows of all ingested columns, scored through the artifact.
     A row with a missing value in any ingested column, and then a row with
     a finite value that overflows when scaled, is left out and counted on
-    stderr."""
+    stderr. The model input is the one array that transform() makes."""
     finite = np.isfinite(data.features).all(axis=1)
     skipped = int((~finite).sum())
     if skipped:
@@ -189,18 +200,21 @@ def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, thre
               " or unknown category values", file=sys.stderr)
         if not finite.any():
             _fail(EXIT_DATA, "evaluate", "no usable records after dropping missing values")
-    x = artifact.transform(data.features)
-    keep = finite & np.isfinite(x).all(axis=1)
-    overflows = int(finite.sum() - keep.sum())
+    rows = np.flatnonzero(finite)
+    x = artifact.transform(data.features, rows)
+    in_range = np.isfinite(x).all(axis=1)
+    overflows = int(in_range.size - in_range.sum())
     if overflows:
         print(f"flowelm: evaluate: skipped {overflows} record(s) with a value"
               " that overflows when scaled", file=sys.stderr)
-    scored = preprocess.FlowDataset(
-        features=x[keep],
-        labels=data.labels[keep],
+        x, rows = x[in_range], rows[in_range]
+    scored = preprocess.FlowDataset._adopt(
+        x,
+        labels=data.labels[rows],
         feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
         source=data.source,
     )
+    del data  # a caller that passed its last reference lets the rows go here
     return _stage("evaluate", metrics.evaluate, artifact.model, scored, threshold)
 
 
@@ -209,15 +223,16 @@ def _fit_and_evaluate(args, prepared: PreparedData, params: ElmParams, schema):
     scaler = _stage("fit-scaler", preprocess.fit_scaler, prepared.train.features)
     x_train = preprocess.apply_scaler(scaler, prepared.train.features)
     model = _stage("train", elm_mod.fit, x_train, prepared.train.labels, params)
+    del x_train  # before the held-out rows are scored
     artifact = dataio.ModelArtifact(
         model=model,
         selection=prepared.selection,
         scaler=scaler,
         schema=schema,
-        feature_names=prepared.data.feature_names,
+        feature_names=prepared.feature_names,
         seed=args.seed,
-        fingerprint=dataio.fingerprint(prepared.data),
-        source=prepared.data.source,
+        fingerprint=prepared.fingerprint,
+        source=prepared.source,
     )
     return artifact, _evaluate(artifact, prepared.test, args.threshold)
 
@@ -238,15 +253,17 @@ def _emit_outputs(args, artifact, report) -> None:
 
 def _load_and_prepare(args):
     schema = _stage("schema", _schema_from_args, args)
-    raw = _stage("load", dataio.load_csv, args.input, schema)
-    data = _stage("clean", preprocess.clean, raw)
     cfg = PipelineConfig(
         corr_threshold=args.corr_threshold,
         train_fraction=args.train_fraction,
         seed=args.seed,
         leak_free=args.leak_free,
     )
-    return schema, prepare(data, cfg)
+    # no name here holds the raw or the cleaned rows, so each goes as soon
+    # as the next stage is done with it
+    return schema, prepare(
+        _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema)), cfg
+    )
 
 
 def cmd_train(args) -> int:
@@ -332,34 +349,43 @@ def _line_blocks(stream):
 
 
 def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
-    """The decoded row of one record's cells, or the reason it gets ERROR."""
+    """The decoded row of one record's cells, or the reason it gets ERROR.
+    The row may still hold a non-finite value; _scores checks the read."""
     if isinstance(cells, str):
         return cells
     if len(cells) != n_cells:
         return f"expected {n_cells} fields, got {len(cells)}"
     try:
-        row = artifact.layout.decode(cells if n_cells == len(artifact.layout.columns) else cells[:-1])
+        return artifact.layout.decode(cells if n_cells == len(artifact.layout.columns) else cells[:-1])
     except ParseError:
         return "unknown category value"
-    if not all(map(math.isfinite, row)):
-        # fail closed: a nan/inf cell would otherwise get an ordinary verdict
-        return "unparseable or non-finite numeric field"
-    return row
 
 
 def _scores(artifact: dataio.ModelArtifact, rows) -> list:
-    """The scores of decoded rows in one model evaluation, with NaN for a
-    row holding a finite value that overflows when scaled."""
+    """Per decoded row, from one model evaluation: its score; None for a
+    row with a non-finite value in any decoded column; NaN for a row with a
+    finite value that overflows when scaled."""
     if not rows:
         return []
-    x = artifact.transform(np.array(rows))
+    decoded = np.array(rows)
+    # fail closed: a nan/inf cell, even in a column the model dropped, would
+    # otherwise get an ordinary verdict
+    finite = None  # every row
+    if not np.isfinite(decoded).all():
+        finite = np.flatnonzero(np.isfinite(decoded).all(axis=1))
+    x = artifact.transform(decoded, finite)
     try:
-        return elm_mod.score(artifact.model, x).tolist()
+        scores = elm_mod.score(artifact.model, x)
     except DataError:  # elm.score names only the first such row
         in_range = np.isfinite(x).all(axis=1)
-        scores = np.full(len(rows), np.nan)
+        scores = np.full(len(x), np.nan)
         scores[in_range] = elm_mod.score(artifact.model, x[in_range])
+    if finite is None:
         return scores.tolist()
+    out = [None] * len(rows)
+    for i, value in zip(finite.tolist(), scores.tolist()):
+        out[i] = value
+    return out
 
 
 def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> tuple[str, int]:
@@ -371,7 +397,9 @@ def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) ->
     for ordinal, row in records:
         if not isinstance(row, str):
             value = next(scores)
-            if math.isnan(value):
+            if value is None:
+                row = "unparseable or non-finite numeric field"
+            elif math.isnan(value):
                 row = "numeric field overflows when scaled"
         if isinstance(row, str):
             lines.append(f"{ordinal},ERROR,{row}\n")

@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .preprocess import FeatureSelection, FlowDataset, ScalerState, apply_scaler, binarize_labels
+from .preprocess import FeatureSelection, FlowDataset, ScalerState, binarize_labels
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -91,6 +91,7 @@ class RecordLayout:
             for vocab in self.vocabularies
         )
         object.__setattr__(self, "_onehots", onehots)
+        object.__setattr__(self, "_numeric", all(vocab is None for vocab in self.vocabularies))
 
     @classmethod
     def from_feature_names(cls, names) -> "RecordLayout":
@@ -123,6 +124,12 @@ class RecordLayout:
 
         Raises ParseError for a category value outside the vocabulary.
         """
+        if self._numeric and len(cells) == len(self._onehots):
+            # the whole list first: an extend that raised would keep a prefix
+            try:
+                return list(map(float, cells))
+            except ValueError:
+                pass  # the per-cell loop below gives that cell NaN
         row = []
         for cell, onehot in zip(cells, self._onehots):
             if onehot is not None:
@@ -238,12 +245,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
             labels.append(sys.intern(row[label_pos].strip()))
     if not labels:
         raise DataError(f"{path}: no data rows")
-    return FlowDataset(
-        features=np.frombuffer(values).reshape(len(labels), len(missing)),
+    return FlowDataset._adopt(
+        np.frombuffer(values).reshape(len(labels), len(missing)),
         labels=binarize_labels(labels, schema.benign_value),
         feature_names=layout.feature_names,
         source=str(path),
-        categories=tuple(labels),
     )
 
 
@@ -263,11 +269,12 @@ def write_csv(dataset: FlowDataset, path, schema: CsvSchema = CsvSchema()) -> No
 
 
 def fingerprint(dataset: FlowDataset) -> str:
-    """Content hash of the numeric payload (features plus labels)."""
+    """Content hash of the numeric payload (features plus labels), read
+    from the arrays' own memory."""
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(dataset.features).tobytes())
+    digest.update(memoryview(np.ascontiguousarray(dataset.features)))
     digest.update(b"|")
-    digest.update(np.ascontiguousarray(dataset.labels).tobytes())
+    digest.update(memoryview(np.ascontiguousarray(dataset.labels)))
     return digest.hexdigest()
 
 
@@ -308,11 +315,20 @@ class ModelArtifact:
             raise IntegrityError("model width must match the selected feature count")
         object.__setattr__(self, "_kept", np.asarray(kept, dtype=np.intp))
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Model input from decoded rows: the kept columns, z-scored. A finite
-        value may overflow to inf here; the callers fail its row closed."""
-        with np.errstate(over="ignore"):
-            return apply_scaler(self.scaler, features.take(self._kept, axis=1))
+    def transform(self, features: np.ndarray, rows=None) -> np.ndarray:
+        """Model input from decoded rows: the kept columns, of the given row
+        indices only if `rows` is set, taken in one fancy index and z-scored
+        in place. A finite value may overflow to inf here; the callers fail
+        its row closed."""
+        features = np.asarray(features, dtype=np.float64)
+        if rows is None:
+            x = features.take(self._kept, axis=1)
+        else:
+            x = features[np.ix_(rows, self._kept)]
+        with np.errstate(over="ignore"):  # the same operations as (x - means) / stds
+            x -= self.scaler.means
+            x /= self.scaler.stds
+        return x
 
 
 def _floats_text(values) -> str:

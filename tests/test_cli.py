@@ -3,11 +3,13 @@ import select
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import cli_env
+from flowelm import cli as cli_mod
 from flowelm import dataio, model_select, preprocess
 from flowelm import elm as elm_mod
 from flowelm.cli import PipelineConfig, format_report, prepare
@@ -247,6 +249,26 @@ class TestEvaluate:
         values = dict(line.partition("=")[::2] for line in result.stdout.splitlines() if "=" in line)
         assert int(values["n_samples"]) == len(lines) - 2  # header and bad row
 
+    def test_score_answers_error_for_a_non_finite_value_in_a_dropped_column(self, cli, strongly_separated_csv, tmp_path):
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(strongly_separated_csv), "--model", str(model),
+                     "--corr-threshold", "0.5")
+        assert result.returncode == 0, result.stderr
+        assert dataio.load_model(model).selection.kept_indices == (0,)
+        lines = strongly_separated_csv.read_text().splitlines()
+        for i, value in [(2, "nan"), (3, "inf"), (5, "-inf")]:
+            x, _, label = lines[i].split(",")
+            lines[i] = f"{x},{value},{label}"
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join(lines) + "\n")
+        result = cli("score", "--model", str(model), "--input", str(dirty))
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert [line.split(",")[0] for line in out] == [str(i) for i in range(len(lines) - 1)]
+        errors = [line for line in out if ",ERROR," in line]
+        assert errors == [f"{i - 1},ERROR,unparseable or non-finite numeric field" for i in (2, 3, 5)]
+        assert "3 malformed record(s)" in result.stderr
+
     def test_every_row_missing_a_value_exits_2(self, cli, strongly_separated_csv, tmp_path):
         model = tmp_path / "m.flowelm"
         assert cli("train", "--input", str(strongly_separated_csv), "--model", str(model)).returncode == 0
@@ -456,6 +478,37 @@ class TestScore:
         result = cli("score", "--model", str(trained), stdin_text=header)
         assert result.returncode == 0
         assert result.stdout == ""
+
+
+class TestBoundedMemory:
+    """evaluate scores the one array that the artifact's transform makes."""
+
+    def test_evaluate_peak_allocation_under_two_feature_arrays(self):
+        rs = np.random.RandomState(12)
+        n, m = 3 * elm_mod._BLOCK_ROWS, 40
+        features = rs.randn(n, m)
+        labels = (features[:, 0] + 0.5 * rs.randn(n) > 0).astype(int)
+        features[5, 7] = np.nan  # one row skipped
+        names = tuple(f"f{j}" for j in range(m))
+        data = preprocess.FlowDataset(features=features, labels=labels, feature_names=names)
+        fit_rows = preprocess.FlowDataset(features=features[10:600], labels=labels[10:600], feature_names=names)
+        selection = preprocess.select_features(fit_rows, 0.0)
+        scaler = preprocess.fit_scaler(fit_rows.features)
+        artifact = dataio.ModelArtifact(
+            model=elm_mod.fit(preprocess.apply_scaler(scaler, fit_rows.features), fit_rows.labels,
+                              elm_mod.ElmParams(8, Activation.TANH, seed=1)),
+            selection=selection, scaler=scaler, schema=dataio.CsvSchema(), feature_names=names, seed=1,
+        )
+        assert len(selection.kept_indices) == m
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            report = cli_mod._evaluate(artifact, data, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_samples == n - 1
+        # measured 1.5 feature arrays; 3.1 with a copy per select, scale and subset step
+        assert peak < 2.0 * features.nbytes, f"peak {peak} bytes, features {features.nbytes}"
 
 
 class TestValueThatOverflowsWhenScaled:
