@@ -13,8 +13,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dataio, metrics, model_select, preprocess
 from . import elm as elm_mod
 from .elm import Activation, ElmParams
@@ -67,14 +65,6 @@ def _stage(stage: str, fn, *args, **kwargs):
         _fail(EXIT_DATA, stage, str(exc))
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    corr_threshold: float = 0.02
-    train_fraction: float = 0.8
-    seed: int = 0
-    leak_free: bool = False
-
-
 # ---------------------------------------------------------------------------
 # report formatting
 # ---------------------------------------------------------------------------
@@ -112,25 +102,20 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, path) -> None:
-    dataio.write_atomic(path, format_report(report))
-
-
-def display_summary(report: EvalReport, out=None) -> None:
+def display_summary(report: EvalReport) -> None:
     """Human-readable two-decimal summary table."""
-    out = out or sys.stdout
     cm = report.confusion
-    print(f"Test results (n={report.n_samples}, threshold {report.threshold:.2f}):", file=out)
-    print(f"  Accuracy    {100.0 * report.accuracy:.2f}%", file=out)
-    print(f"  Precision   {report.precision:.2f}", file=out)
-    print(f"  Recall      {report.recall:.2f}", file=out)
-    print(f"  F1-score    {report.f1:.2f}", file=out)
+    print(f"Test results (n={report.n_samples}, threshold {report.threshold:.2f}):")
+    print(f"  Accuracy    {100.0 * report.accuracy:.2f}%")
+    print(f"  Precision   {report.precision:.2f}")
+    print(f"  Recall      {report.recall:.2f}")
+    print(f"  F1-score    {report.f1:.2f}")
     auc = "n/a" if math.isnan(report.auc_roc) else f"{report.auc_roc:.3f}"
-    print(f"  AUC-ROC     {auc}", file=out)
+    print(f"  AUC-ROC     {auc}")
     width = max(len(str(v)) for v in (cm.tp, cm.fp, cm.tn, cm.fn))
-    print("Confusion matrix (rows actual, columns predicted; attack first):", file=out)
-    print(f"  attack  {cm.tp:>{width}}  {cm.fn:>{width}}", file=out)
-    print(f"  benign  {cm.fp:>{width}}  {cm.tn:>{width}}", file=out)
+    print("Confusion matrix (rows actual, columns predicted; attack first):")
+    print(f"  attack  {cm.tp:>{width}}  {cm.fn:>{width}}")
+    print(f"  benign  {cm.fp:>{width}}  {cm.tn:>{width}}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +124,16 @@ def display_summary(report: EvalReport, out=None) -> None:
 
 
 def _schema_from_args(args, base: dataio.CsvSchema | None = None) -> dataio.CsvSchema:
+    """The flags' schema, with `base`'s value for each flag not given. An
+    empty value is given, and CsvSchema rejects it."""
     base = base or dataio.CsvSchema()
     exclude = base.exclude_columns
-    if getattr(args, "exclude_columns", None) is not None:
+    if args.exclude_columns is not None:
         exclude = tuple(c for c in args.exclude_columns.split(",") if c)
     return dataio.CsvSchema(
-        label_column=getattr(args, "label_column", None) or base.label_column,
-        benign_value=getattr(args, "benign_value", None) or base.benign_value,
-        delimiter=getattr(args, "delimiter", None) or base.delimiter,
+        label_column=base.label_column if args.label_column is None else args.label_column,
+        benign_value=base.benign_value if args.benign_value is None else args.benign_value,
+        delimiter=base.delimiter if args.delimiter is None else args.delimiter,
         exclude_columns=exclude,
     )
 
@@ -162,7 +149,9 @@ class PreparedData:
     source: str
 
 
-def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
+def prepare(
+    data: preprocess.FlowDataset, corr_threshold: float, train_fraction: float, seed: int, leak_free: bool
+) -> PreparedData:
     """Split rows, then select features from the full data (or, leak-free,
     from the training rows only) and restrict the training side to them.
 
@@ -171,12 +160,12 @@ def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
     made unless leak-free selection reads one. When the caller passes its
     last reference to `data`, the data goes on return.
     """
-    train_rows, test_rows = _stage("split", preprocess.split_indices, data.labels, cfg.train_fraction, cfg.seed)
+    train_rows, test_rows = _stage("split", preprocess.split_indices, data.labels, train_fraction, seed)
     selection = _stage(
         "select-features",
         preprocess.select_features,
-        data.subset_rows(train_rows) if cfg.leak_free else data,
-        cfg.corr_threshold,
+        data.subset_rows(train_rows) if leak_free else data,
+        corr_threshold,
     )
     return PreparedData(
         selection=selection,
@@ -189,25 +178,18 @@ def prepare(data: preprocess.FlowDataset, cfg: PipelineConfig) -> PreparedData:
 
 
 def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
-    """Report on rows of all ingested columns, scored through the artifact.
-    A row with a missing value in any ingested column, and then a row with
-    a finite value that overflows when scaled, is left out and counted on
-    stderr. The model input is the one array that transform() makes."""
-    finite = np.isfinite(data.features).all(axis=1)
-    skipped = int((~finite).sum())
-    if skipped:
-        print(f"flowelm: evaluate: skipped {skipped} record(s) with missing values"
+    """Report on the rows of all ingested columns that the artifact's
+    transform lets through; the rows it leaves out are counted on stderr."""
+    x, rows, finite = artifact.transform(data.features)
+    n_finite = int(finite.sum())
+    if n_finite < len(finite):
+        print(f"flowelm: evaluate: skipped {len(finite) - n_finite} record(s) with missing values"
               " or unknown category values", file=sys.stderr)
-        if not finite.any():
-            _fail(EXIT_DATA, "evaluate", "no usable records after dropping missing values")
-    rows = np.flatnonzero(finite)
-    x = artifact.transform(data.features, rows)
-    in_range = np.isfinite(x).all(axis=1)
-    overflows = int(in_range.size - in_range.sum())
-    if overflows:
-        print(f"flowelm: evaluate: skipped {overflows} record(s) with a value"
+    if len(rows) < n_finite:
+        print(f"flowelm: evaluate: skipped {n_finite - len(rows)} record(s) with a value"
               " that overflows when scaled", file=sys.stderr)
-        x, rows = x[in_range], rows[in_range]
+    if not len(rows):
+        _fail(EXIT_DATA, "evaluate", "no usable records left after skipping")
     scored = preprocess.FlowDataset._adopt(
         x,
         labels=data.labels[rows],
@@ -240,7 +222,7 @@ def _fit_and_evaluate(args, prepared: PreparedData, params: ElmParams, schema):
 def _emit_outputs(args, artifact, report) -> None:
     _stage("save", dataio.save_model, artifact, args.model)
     report_path = args.report or f"{args.model}.report.txt"
-    _stage("report", write_report, report, report_path)
+    _stage("report", dataio.write_atomic, report_path, format_report(report))
     print(f"model -> {args.model}")
     print(f"report -> {report_path}")
     display_summary(report)
@@ -253,16 +235,14 @@ def _emit_outputs(args, artifact, report) -> None:
 
 def _load_and_prepare(args):
     schema = _stage("schema", _schema_from_args, args)
-    cfg = PipelineConfig(
-        corr_threshold=args.corr_threshold,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-        leak_free=args.leak_free,
-    )
     # no name here holds the raw or the cleaned rows, so each goes as soon
     # as the next stage is done with it
     return schema, prepare(
-        _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema)), cfg
+        _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema)),
+        args.corr_threshold,
+        args.train_fraction,
+        args.seed,
+        args.leak_free,
     )
 
 
@@ -322,7 +302,7 @@ def cmd_evaluate(args) -> int:
     sys.stdout.write(format_report(report))
     display_summary(report)
     if args.report:
-        _stage("report", write_report, report, args.report)
+        _stage("report", dataio.write_atomic, args.report, format_report(report))
         print(f"report -> {args.report}")
     return 0
 
@@ -350,7 +330,8 @@ def _line_blocks(stream):
 
 def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
     """The decoded row of one record's cells, or the reason it gets ERROR.
-    The row may still hold a non-finite value; _scores checks the read."""
+    The row may still hold a non-finite value; the artifact's transform
+    fails it closed."""
     if isinstance(cells, str):
         return cells
     if len(cells) != n_cells:
@@ -361,51 +342,31 @@ def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
         return "unknown category value"
 
 
-def _scores(artifact: dataio.ModelArtifact, rows) -> list:
-    """Per decoded row, from one model evaluation: its score; None for a
-    row with a non-finite value in any decoded column; NaN for a row with a
-    finite value that overflows when scaled."""
-    if not rows:
-        return []
-    decoded = np.array(rows)
-    # fail closed: a nan/inf cell, even in a column the model dropped, would
-    # otherwise get an ordinary verdict
-    finite = None  # every row
-    if not np.isfinite(decoded).all():
-        finite = np.flatnonzero(np.isfinite(decoded).all(axis=1))
-    x = artifact.transform(decoded, finite)
-    try:
-        scores = elm_mod.score(artifact.model, x)
-    except DataError:  # elm.score names only the first such row
-        in_range = np.isfinite(x).all(axis=1)
-        scores = np.full(len(x), np.nan)
-        scores[in_range] = elm_mod.score(artifact.model, x[in_range])
-    if finite is None:
-        return scores.tolist()
-    out = [None] * len(rows)
-    for i, value in zip(finite.tolist(), scores.tolist()):
-        out[i] = value
-    return out
-
-
 def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> tuple[str, int]:
-    """The verdict lines of (ordinal, row or ERROR reason) records, their
-    rows scored in one model evaluation, and how many are ERROR."""
-    scores = iter(_scores(artifact, [row for _, row in records if not isinstance(row, str)]))
+    """The verdict lines of (ordinal, row or ERROR reason) records, the rows
+    that the artifact's transform lets through scored in one model
+    evaluation, and how many lines are ERROR."""
+    rows = [row for _, row in records if not isinstance(row, str)]
+    outcomes = []  # per decoded row: its score, or the reason it gets ERROR
+    if rows:
+        x, scored, finite = artifact.transform(rows)
+        outcomes = [
+            "numeric field overflows when scaled" if ok else "unparseable or non-finite numeric field"
+            for ok in finite.tolist()
+        ]
+        for i, value in zip(scored.tolist(), elm_mod.score(artifact.model, x).tolist()):
+            outcomes[i] = value
+    outcomes = iter(outcomes)
     lines = []
     errors = 0
     for ordinal, row in records:
         if not isinstance(row, str):
-            value = next(scores)
-            if value is None:
-                row = "unparseable or non-finite numeric field"
-            elif math.isnan(value):
-                row = "numeric field overflows when scaled"
+            row = next(outcomes)
         if isinstance(row, str):
             lines.append(f"{ordinal},ERROR,{row}\n")
             errors += 1
         else:
-            lines.append(f"{ordinal},{dataio.format_float(value)},{1 if value >= threshold else 0}\n")
+            lines.append(f"{ordinal},{dataio.format_float(row)},{1 if row >= threshold else 0}\n")
     return "".join(lines), errors
 
 

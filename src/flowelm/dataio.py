@@ -56,6 +56,8 @@ class CsvSchema:
     def __post_init__(self):
         if not self.label_column:
             raise DataError("label column name must be non-empty")
+        if not self.benign_value.strip():  # labels are stripped, and an empty one is rejected
+            raise DataError("benign label value must be non-empty")
         if len(self.delimiter) != 1 or not self.delimiter.isprintable():
             raise DataError("delimiter must be a single printable character")
         object.__setattr__(self, "exclude_columns", tuple(self.exclude_columns))
@@ -238,11 +240,14 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
         for line_no, row in rows:
             if len(row) != len(header):
                 raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+            label = row[label_pos].strip()
+            if not label:
+                raise ParseError(f"{path}:{line_no}: empty traffic category")
             try:
                 values.extend(layout.decode([row[i] for i in feature_pos]))
             except ParseError:
                 values.extend(missing)
-            labels.append(sys.intern(row[label_pos].strip()))
+            labels.append(sys.intern(label))
     if not labels:
         raise DataError(f"{path}: no data rows")
     return FlowDataset._adopt(
@@ -315,20 +320,26 @@ class ModelArtifact:
             raise IntegrityError("model width must match the selected feature count")
         object.__setattr__(self, "_kept", np.asarray(kept, dtype=np.intp))
 
-    def transform(self, features: np.ndarray, rows=None) -> np.ndarray:
-        """Model input from decoded rows: the kept columns, of the given row
-        indices only if `rows` is set, taken in one fancy index and z-scored
-        in place. A finite value may overflow to inf here; the callers fail
-        its row closed."""
+    def transform(self, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Model input from decoded rows, failing closed: (x, rows, finite).
+
+        `finite` marks, per decoded row, that every decoded column is finite,
+        those the model dropped included. `x` holds the kept columns of the
+        finite rows, taken in one fancy index and z-scored in place, less any
+        row with a finite value that overflows when scaled; `rows` are the
+        indices of the rows in `x`. A row not in `rows` is never scored.
+        """
         features = np.asarray(features, dtype=np.float64)
-        if rows is None:
-            x = features.take(self._kept, axis=1)
-        else:
-            x = features[np.ix_(rows, self._kept)]
+        finite = np.isfinite(features).all(axis=1)
+        rows = np.flatnonzero(finite)
+        x = features[rows[:, None], self._kept]
         with np.errstate(over="ignore"):  # the same operations as (x - means) / stds
             x -= self.scaler.means
             x /= self.scaler.stds
-        return x
+        if not np.isfinite(x).all():
+            in_range = np.isfinite(x).all(axis=1)
+            x, rows = x[in_range], rows[in_range]
+        return x, rows, finite
 
 
 def _floats_text(values) -> str:

@@ -287,7 +287,7 @@ def fit_scaler(train_features) -> ScalerState:
     if not np.isfinite(arr).all():
         raise DataError("scaler input must be finite")
     means = arr.mean(axis=0)
-    stds = np.sqrt(((arr - means) ** 2).mean(axis=0))
+    stds = arr.std(axis=0)
     zero = np.where(stds == 0)[0]
     if zero.size:
         raise DataError(

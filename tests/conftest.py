@@ -10,11 +10,13 @@ if SRC not in sys.path:
 
 
 def cli_env():
-    """The CLI's environment: the source tree on the path, and stdout
-    buffered as users get it (PYTHONUNBUFFERED would hide a missing flush)."""
+    """The CLI's environment: the source tree on the path, stdout buffered
+    as users get it (PYTHONUNBUFFERED would hide a missing flush), and
+    warnings raised as errors, as in the test process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONWARNINGS"] = "error"
     return env
 
 

@@ -12,7 +12,7 @@ from conftest import cli_env
 from flowelm import cli as cli_mod
 from flowelm import dataio, model_select, preprocess
 from flowelm import elm as elm_mod
-from flowelm.cli import PipelineConfig, format_report, prepare
+from flowelm.cli import format_report, prepare
 from flowelm.elm import Activation
 from flowelm.metrics import ConfusionMatrix, EvalReport
 
@@ -131,8 +131,11 @@ class TestGrid:
                 hidden = int(row.split("hidden=")[1].split()[0])
                 printed[hidden] = float(row.split("mean=")[1].split()[0])
 
+        args = cli_mod.build_parser().parse_args(
+            ["grid", "--input", str(small_synth_csv), "--model", str(tmp_path / "g"), "--seed", "6"]
+        )
         data = preprocess.clean(dataio.load_csv(small_synth_csv))
-        prepared = prepare(data, PipelineConfig(seed=6))
+        prepared = prepare(data, args.corr_threshold, args.train_fraction, args.seed, args.leak_free)
         for hidden, shown in printed.items():
             scores = model_select.cross_validate(
                 prepared.train,
@@ -269,18 +272,28 @@ class TestEvaluate:
         assert errors == [f"{i - 1},ERROR,unparseable or non-finite numeric field" for i in (2, 3, 5)]
         assert "3 malformed record(s)" in result.stderr
 
-    def test_every_row_missing_a_value_exits_2(self, cli, strongly_separated_csv, tmp_path):
-        model = tmp_path / "m.flowelm"
-        assert cli("train", "--input", str(strongly_separated_csv), "--model", str(model)).returncode == 0
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [("", "missing values or unknown category values"), ("-1e308", "a value that overflows when scaled")],
+        ids=["missing", "overflow"],
+    )
+    def test_every_row_missing_a_value_exits_2(self, cli, strongly_separated_csv, tmp_path, cell, reason):
+        # x shrunk 1000-fold: its spread, near 0.025, scales -1e308 past the float range
         lines = strongly_separated_csv.read_text().splitlines()
-        holes = [lines[0]] + ["," + line.split(",", 1)[1] for line in lines[1:]]
-        capture = tmp_path / "holes.csv"
-        capture.write_text("\n".join(holes) + "\n")
+        rows = [line.split(",", 1) for line in lines[1:]]
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("\n".join([lines[0]] + [f"{float(x) * 1e-3!r},{rest}" for x, rest in rows]) + "\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(narrow), "--model", str(model), "--corr-threshold", "0.5")
+        assert result.returncode == 0, result.stderr
+        assert dataio.load_model(model).selection.kept_indices == (0,)
+        capture = tmp_path / "spoiled.csv"
+        capture.write_text("\n".join([lines[0]] + [f"{cell},{rest}" for _, rest in rows]) + "\n")
         result = cli("evaluate", "--model", str(model), "--input", str(capture))
         assert result.returncode == 2
         assert result.stderr.splitlines() == [
-            f"flowelm: evaluate: skipped {len(lines) - 1} record(s) with missing values or unknown category values",
-            "flowelm: evaluate: no usable records after dropping missing values",
+            f"flowelm: evaluate: skipped {len(rows)} record(s) with {reason}",
+            "flowelm: evaluate: no usable records left after skipping",
         ]
         assert result.stdout == ""
 
@@ -559,6 +572,60 @@ class TestValueThatOverflowsWhenScaled:
         assert "Warning" not in result.stderr
 
 
+class TestOneFailClosedPath:
+    """evaluate and score leave out the same rows, for the same reasons, and
+    score the rest from the same model input."""
+
+    def test_skipped_rows_and_scores_agree(self, cli, tmp_path):
+        rs = np.random.RandomState(2)
+        lines = ["rate,proto,z,Label"]
+        for i in range(120):
+            attack = i % 2
+            proto = rs.choice(["tcp", "udp"], p=[0.3, 0.7] if attack else [0.7, 0.3])
+            rate, z = rs.normal(4 + 3 * attack, 1.5), 0.001 * (attack + 0.5 * rs.randn())
+            lines.append(f"{rate!r},{proto},{z!r},{'DDoS' if attack else 'Benign'}")
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(train), "--model", str(model), "--hidden", "16",
+                     "--corr-threshold", "0")
+        assert result.returncode == 0, result.stderr
+        # (data row, cell, value): non-finite and missing, an unknown category,
+        # and finite values that overflow when scaled (z's spread is near 0.001)
+        spoils = [(3, 0, "nan"), (7, 0, "inf"), (11, 2, "-inf"), (16, 0, ""), (20, 1, "icmp"),
+                  (24, 2, "-1e308"), (30, 2, "1e308")]
+        capture_lines = lines[:60]
+        for row, cell, value in spoils:
+            cells = capture_lines[row + 1].split(",")
+            cells[cell] = value
+            capture_lines[row + 1] = ",".join(cells)
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(capture_lines) + "\n")
+
+        evaluation = cli("evaluate", "--model", str(model), "--input", str(capture))
+        assert evaluation.returncode == 0, evaluation.stderr
+        assert evaluation.stderr.splitlines() == [
+            "flowelm: evaluate: skipped 5 record(s) with missing values or unknown category values",
+            "flowelm: evaluate: skipped 2 record(s) with a value that overflows when scaled",
+        ]
+        stream = cli("score", "--model", str(model), "--input", str(capture))
+        assert stream.returncode == 0, stream.stderr
+        verdicts = [line.split(",", 2) for line in stream.stdout.splitlines()]
+        assert [int(v[0]) for v in verdicts] == list(range(59))
+        reasons = [v[2] for v in verdicts if v[1] == "ERROR"]
+        assert reasons.count("unparseable or non-finite numeric field") + reasons.count("unknown category value") == 5
+        assert reasons.count("numeric field overflows when scaled") == 2
+        assert len(reasons) == 7
+
+        artifact = dataio.load_model(model)
+        data = dataio.load_csv(capture, artifact.schema, artifact.layout)
+        x, rows, _ = artifact.transform(data.features)
+        assert [int(v[0]) for v in verdicts if v[1] == "ERROR"] == sorted(set(range(59)) - set(rows.tolist()))
+        assert sorted(row for row, _, _ in spoils) == sorted(set(range(59)) - set(rows.tolist()))
+        scores = [v[1] for v in verdicts if v[1] != "ERROR"]
+        assert scores == [dataio.format_float(s) for s in elm_mod.score(artifact.model, x)]
+
+
 class TestCategoricalModel:
     """A model trained with a categorical column scores raw records."""
 
@@ -590,7 +657,9 @@ class TestCategoricalModel:
 
         artifact = dataio.load_model(model)
         data = dataio.load_csv(proto_csv, artifact.schema, artifact.layout)
-        assert np.array_equal(labels, elm_mod.predict(artifact.model, artifact.transform(data.features)))
+        x, rows, _ = artifact.transform(data.features)
+        assert len(rows) == data.n_samples
+        assert np.array_equal(labels, elm_mod.predict(artifact.model, x))
         evaluation = cli("evaluate", "--model", str(model), "--input", str(proto_csv))
         assert evaluation.returncode == 0, evaluation.stderr
         counts = dict(line.split("=") for line in evaluation.stdout.splitlines() if line[:3] in ("tp=", "fp="))
@@ -755,8 +824,7 @@ class TestLeakFreePipeline:
 
         monkeypatch.setattr(cli_module.preprocess, "select_features", spy_select)
 
-        cfg = PipelineConfig(corr_threshold=0.0, seed=12, leak_free=True)
-        prepared = prepare(data, cfg)
+        prepared = prepare(data, corr_threshold=0.0, train_fraction=0.8, seed=12, leak_free=True)
         marker_col = prepared.train.feature_names.index("marker")
         train_rows = set(prepared.train.features[:, marker_col].astype(int))
         assert seen["selection_rows"] == train_rows
@@ -781,7 +849,7 @@ class TestLeakFreePipeline:
         from flowelm import cli as cli_module
 
         monkeypatch.setattr(cli_module.preprocess, "select_features", spy_select)
-        prepare(data, PipelineConfig(corr_threshold=0.0, seed=3, leak_free=False))
+        prepare(data, corr_threshold=0.0, train_fraction=0.8, seed=3, leak_free=False)
         assert seen["rows"] == set(range(n))
 
 
@@ -918,6 +986,26 @@ class TestFlagValues:
         assert args.hidden == (8, 16) and args.rbf_gamma == (0.5, 2.0)
         assert args.activation == ("tanh", "sigmoid", "rbf")
 
+    @pytest.mark.parametrize("key, message", [
+        ("label-column", "label column name must be non-empty"),
+        ("benign-value", "benign label value must be non-empty"),
+        ("delimiter", "delimiter must be a single printable character"),
+    ])
+    @pytest.mark.parametrize("given_as", ["flag", "config"])
+    def test_empty_schema_value_exits_2(self, cli, small_synth_csv, tmp_path, key, message, given_as):
+        model = tmp_path / "m.flowelm"
+        argv = ["train", "--input", str(small_synth_csv), "--model", str(model)]
+        if given_as == "flag":
+            argv += [f"--{key}", ""]
+        else:
+            config = tmp_path / "defaults.cfg"
+            config.write_text(f"{key}=\n")
+            argv += ["--config", str(config)]
+        result = cli(*argv)
+        assert result.returncode == 2
+        assert result.stderr == f"flowelm: schema: {message}\n"
+        assert result.stdout == "" and not model.exists()
+
     def test_negative_matrix_dimension_exits_2_without_traceback(self, cli, trained, small_synth_csv):
         text = trained.read_text()
         start = text.index("matrix.biases=") + len("matrix.biases=")
@@ -982,6 +1070,22 @@ class TestExitCodeMapping:
         result = cli(command, "--input", str(latin1), "--model", str(model))
         assert result.returncode == 2
         assert "latin1.csv:4:" in result.stderr and "Traceback" not in result.stderr
+
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_label_names_file_and_line(self, cli, small_synth_csv, tmp_path, command):
+        model = tmp_path / "m.flowelm"
+        assert cli("train", "--input", str(small_synth_csv), "--model", str(model)).returncode == 0
+        lines = small_synth_csv.read_text().splitlines()
+        lines.insert(2, "")  # a blank line still counts: line 6 is the fifth data row
+        cells = lines[5].split(",")
+        cells[-1] = " "
+        lines[5] = ",".join(cells)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines) + "\n")
+        result = cli(command, "--input", str(blank), "--model", str(model))
+        assert result.returncode == 2
+        assert result.stderr == f"flowelm: load: {blank}:6: empty traffic category\n"
 
 
 class TestReportFormat:

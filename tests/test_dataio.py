@@ -290,16 +290,25 @@ class TestModelArtifact:
         artifact = make_artifact()
         rows = np.random.RandomState(4).randn(5, 4)
         expected = (rows[:, [0, 2, 3]] - artifact.scaler.means) / artifact.scaler.stds
-        assert np.array_equal(artifact.transform(rows), expected)
+        x, kept_rows, finite = artifact.transform(rows)
+        assert np.array_equal(x, expected)
+        assert kept_rows.tolist() == list(range(5)) and finite.all()
+        assert x.flags.c_contiguous and x.flags.writeable  # the caller's own array
         assert artifact.layout.columns == ("a", "b", "c", "d")
 
     def test_transform_of_given_rows_has_the_bits_of_selecting_them_after(self):
         artifact = make_artifact()
         rows = np.random.RandomState(5).randn(9, 4) * 1e3
-        picked = [7, 0, 3, 3]
-        x = artifact.transform(rows, picked)
-        assert x.tobytes() == artifact.transform(rows)[picked].tobytes()
-        assert x.flags.c_contiguous and x.flags.writeable  # the caller's own array
+        every_row = artifact.transform(rows)[0]
+        rows[1, 1] = np.nan  # in a column the model dropped
+        rows[4, 0] = -np.inf
+        rows[6, 2] = 1.7e308  # finite, but inf once divided by a std below 1
+        assert artifact.scaler.stds[1] < 1
+        x, kept_rows, finite = artifact.transform(rows)
+        assert finite.tolist() == [i not in (1, 4) for i in range(9)]
+        assert kept_rows.tolist() == [0, 2, 3, 5, 7, 8]
+        assert x.tobytes() == every_row[kept_rows].tobytes()
+        assert x.flags.c_contiguous and x.flags.writeable
 
     def test_non_utf8_artifact_rejected(self, tmp_path):
         artifact = make_artifact()

@@ -109,7 +109,9 @@ def test_stream_labels_equal_batch_labels(model, records):
 
     artifact = dataio.load_model(path)
     data = dataio.load_csv(capture, artifact.schema, artifact.layout)
-    assert np.array_equal(stream, elm.predict(artifact.model, artifact.transform(data.features)))
+    x, rows, _ = artifact.transform(data.features)
+    assert len(rows) == len(stream)
+    assert np.array_equal(stream, elm.predict(artifact.model, x))
 
     code, out, err = run("evaluate", "--model", path, "--input", capture)
     assert code == 0, err
