@@ -328,16 +328,20 @@ def _line_blocks(stream):
         yield [b"".join(partial)]
 
 
-def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int):
-    """The decoded row of one record's cells, or the reason it gets ERROR.
-    The row may still hold a non-finite value; the artifact's transform
-    fails it closed."""
+def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int, dropped):
+    """The decoded row of one record's feature cells, or the reason it gets
+    ERROR. The row may still hold a non-finite value; the artifact's
+    transform fails it closed."""
     if isinstance(cells, str):
         return cells
     if len(cells) != n_cells:
         return f"expected {n_cells} fields, got {len(cells)}"
+    # the cells that are not feature cells, back to front: deleting these
+    # few costs less per record than building a list of the feature cells
+    for i in dropped:
+        del cells[i]
     try:
-        return artifact.layout.decode(cells if n_cells == len(artifact.layout.columns) else cells[:-1])
+        return artifact.layout.decode(cells)
     except ParseError:
         return "unknown category value"
 
@@ -372,10 +376,9 @@ def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) ->
 
 def cmd_score(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
-    header = list(artifact.layout.columns)
-    headers = (header, header + [artifact.schema.label_column])
+    columns = list(artifact.layout.columns)
     stream = sys.stdin.buffer if args.input == "-" else _stage("score", open, args.input, "rb")
-    n_cells = len(header)
+    n_cells, dropped = len(columns), ()  # a headerless stream's cells are all feature cells
     ordinal = errors = 0
     first = True
     try:
@@ -387,10 +390,12 @@ def cmd_score(args) -> int:
                     continue  # blank line
                 if first:
                     first = False
-                    if isinstance(cells, list) and [c.strip() for c in cells] in headers:
-                        n_cells = len(cells)  # a label column's values are then ignored
+                    positions = [] if isinstance(cells, str) else artifact.schema.feature_positions(cells)
+                    if [cells[i].strip() for i in positions] == columns:  # load_csv's header test
+                        n_cells = len(cells)
+                        dropped = [i for i in reversed(range(n_cells)) if i not in positions]
                         continue
-                records.append((ordinal, _record_row(artifact, cells, n_cells)))
+                records.append((ordinal, _record_row(artifact, cells, n_cells, dropped)))
                 ordinal += 1
             if records:
                 lines, n_errors = _verdict_lines(artifact, records, args.threshold)

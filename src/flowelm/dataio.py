@@ -20,7 +20,6 @@ import csv
 import hashlib
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .preprocess import FeatureSelection, FlowDataset, ScalerState, binarize_labels
+from .preprocess import FeatureSelection, FlowDataset, ScalerState
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -65,6 +64,12 @@ class CsvSchema:
         broken = [v for v in (self.label_column, self.benign_value, *self.exclude_columns) if "\n" in v]
         if broken:
             raise SchemaError(f"line breaks are not allowed in schema values: {broken}")
+
+    def feature_positions(self, names) -> list[int]:
+        """The positions of a header's feature cells: every name, stripped,
+        but the label column and the excluded columns."""
+        skip = {self.label_column, *self.exclude_columns}
+        return [i for i, name in enumerate(names) if name.strip() not in skip]
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,8 @@ def _infer_layout(rows, n_cells, feature_pos, columns) -> RecordLayout:
 
 def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None = None) -> FlowDataset:
     """Parse a labeled flow CSV into a dataset (may still contain NaN markers).
+    A label is 0 if it is the benign value (ignoring case and surrounding
+    whitespace), 1 otherwise.
 
     Without a layout, one is inferred from the rows in a first pass, after
     which the file is rewound for the decoding pass, so it must be seekable.
@@ -215,11 +222,13 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
             raise SchemaError(
                 f"{path}: no {schema.label_column!r} column; header columns: {header}"
             )
+        if header.count(schema.label_column) > 1:
+            raise SchemaError(
+                f"{path}: the {schema.label_column!r} column is named more than once;"
+                f" header columns: {header}"
+            )
         label_pos = header.index(schema.label_column)
-        excluded = set(schema.exclude_columns)
-        feature_pos = [
-            i for i, name in enumerate(header) if i != label_pos and name not in excluded
-        ]
+        feature_pos = schema.feature_positions(header)
         columns = tuple(header[i] for i in feature_pos)
         if layout is None:
             layout = _infer_layout(rows, len(header), feature_pos, columns)
@@ -235,8 +244,9 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
                 f"  model: {list(layout.columns)}\n  input: {list(columns)}"
             )
         missing = [math.nan] * len(layout.feature_names)
+        benign = schema.benign_value.strip().lower()
         values = array.array("d")
-        labels = []
+        labels = bytearray()
         for line_no, row in rows:
             if len(row) != len(header):
                 raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
@@ -247,12 +257,12 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
                 values.extend(layout.decode([row[i] for i in feature_pos]))
             except ParseError:
                 values.extend(missing)
-            labels.append(sys.intern(label))
+            labels.append(label.lower() != benign)
     if not labels:
         raise DataError(f"{path}: no data rows")
     return FlowDataset._adopt(
         np.frombuffer(values).reshape(len(labels), len(missing)),
-        labels=binarize_labels(labels, schema.benign_value),
+        labels=np.frombuffer(labels, dtype=np.uint8),
         feature_names=layout.feature_names,
         source=str(path),
     )
@@ -319,6 +329,16 @@ class ModelArtifact:
         if self.model.n_features != len(kept):
             raise IntegrityError("model width must match the selected feature count")
         object.__setattr__(self, "_kept", np.asarray(kept, dtype=np.intp))
+        # The largest scaled magnitude at which no value elm.score computes
+        # from a row can overflow, whatever the activation. For k kept
+        # columns of at most this magnitude, input weights of at most w and
+        # an RBF width gamma, gamma * ||x||^2 (in the RBF distance) is at
+        # most float max / 16, and x @ w and elm.score's finiteness sum over
+        # a block of rows are at most _BLOCK_ROWS * sqrt(k * float max).
+        w = max(1.0, float(np.abs(self.model.input_weights).max()))
+        gamma = max(1.0, self.model.params.rbf_gamma)
+        limit = math.sqrt(np.finfo(np.float64).max / (len(kept) * gamma)) / (4.0 * w)
+        object.__setattr__(self, "_limit", limit)
 
     def transform(self, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Model input from decoded rows, failing closed: (x, rows, finite).
@@ -326,8 +346,9 @@ class ModelArtifact:
         `finite` marks, per decoded row, that every decoded column is finite,
         those the model dropped included. `x` holds the kept columns of the
         finite rows, taken in one fancy index and z-scored in place, less any
-        row with a finite value that overflows when scaled; `rows` are the
-        indices of the rows in `x`. A row not in `rows` is never scored.
+        row with a scaled value that overflows, or that is large enough for
+        the model's hidden layer to overflow; `rows` are the indices of the
+        rows in `x`. A row not in `rows` is never scored.
         """
         features = np.asarray(features, dtype=np.float64)
         finite = np.isfinite(features).all(axis=1)
@@ -336,8 +357,10 @@ class ModelArtifact:
         with np.errstate(over="ignore"):  # the same operations as (x - means) / stds
             x -= self.scaler.means
             x /= self.scaler.stds
-        if not np.isfinite(x).all():
-            in_range = np.isfinite(x).all(axis=1)
+        # one screen of every row, and a per-row mask only when it fails;
+        # NaN (from a NaN mean) fails both
+        if x.size and not max(x.max(), -x.min()) <= self._limit:
+            in_range = (np.abs(x) <= self._limit).all(axis=1)
             x, rows = x[in_range], rows[in_range]
         return x, rows, finite
 

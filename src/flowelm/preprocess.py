@@ -1,4 +1,4 @@
-"""Data preparation: cleaning, labeling, feature selection, scaling, splitting.
+"""Data preparation: cleaning, feature selection, scaling, splitting.
 
 The intended composition is clean -> select_features -> split -> fit_scaler
 on the training part -> apply_scaler to both parts. Feature selection keeps
@@ -179,18 +179,6 @@ def clean(raw: FlowDataset) -> FlowDataset:
     if keep.size == raw.n_samples:
         return raw
     return raw.subset_rows(keep)
-
-
-def binarize_labels(categories, benign_value: str = "benign") -> np.ndarray:
-    """Map traffic categories to 0/1: benign (case-insensitive) is 0, anything else 1."""
-    target = benign_value.strip().lower()
-    labels = np.empty(len(categories), dtype=np.int64)
-    for i, category in enumerate(categories):
-        name = str(category).strip()
-        if not name:
-            raise DataError(f"row {i}: empty traffic category")
-        labels[i] = 0 if name.lower() == target else 1
-    return labels
 
 
 # Columns per block in select_features (see there); at least 2.

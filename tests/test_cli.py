@@ -482,6 +482,35 @@ class TestScore:
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 3
 
+    def test_first_line_like_a_header_but_not_the_models_is_a_record(self, cli, trained, small_synth_csv):
+        lines = small_synth_csv.read_text().splitlines()[:3]
+        renamed = lines[0].replace("packet_size_mean", "packet_size_avg")
+        unlabeled = [line.rsplit(",", 1)[0] for line in [renamed] + lines[1:]]
+        result = cli("score", "--model", str(trained), stdin_text="\n".join(unlabeled) + "\n")
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert out[0] == "0,ERROR,unparseable or non-finite numeric field"
+        assert [line.split(",")[1] == "ERROR" for line in out] == [True, False, False]
+        # with the label, it is no header either: no record then has 12 fields
+        result = cli("score", "--model", str(trained), stdin_text="\n".join([renamed] + lines[1:]) + "\n")
+        assert result.stdout.splitlines() == [f"{i},ERROR,expected 12 fields, got 13" for i in range(3)]
+
+    def test_reads_any_file_that_evaluate_reads(self, cli, small_synth_csv, tmp_path):
+        # the label first and an excluded column last, as train and evaluate accept
+        lines = [line.rsplit(",", 1) for line in small_synth_csv.read_text().splitlines()]
+        moved = tmp_path / "moved.csv"
+        moved.write_text("".join(f"{label},{cells},{'ts' if i == 0 else i}\n" for i, (cells, label) in enumerate(lines)))
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--input", str(moved), "--model", str(model), "--exclude-columns", "ts")
+        assert result.returncode == 0, result.stderr
+        result = cli("score", "--model", str(model), "--input", str(moved))
+        assert result.returncode == 0, result.stderr
+        labels = [int(line.split(",")[2]) for line in result.stdout.splitlines()]
+        artifact = dataio.load_model(model)
+        x, rows, _ = artifact.transform(dataio.load_csv(moved, artifact.schema, artifact.layout).features)
+        assert len(rows) == len(labels) == len(lines) - 1
+        assert labels == elm_mod.predict(artifact.model, x).tolist()
+
     def test_unreadable_model_exits_2(self, cli, tmp_path):
         result = cli("score", "--model", str(tmp_path / "missing.flowelm"), stdin_text="1,2\n")
         assert result.returncode == 2
@@ -570,6 +599,35 @@ class TestValueThatOverflowsWhenScaled:
         assert sum(",ERROR," in line for line in out) == 1
         assert "1 malformed record(s)" in result.stderr
         assert "Warning" not in result.stderr
+
+
+class TestValueNearTheFloatMaximum:
+    """A scaled value large enough for the hidden layer to overflow fails
+    closed, as one that overflows when scaled does."""
+
+    def test_score_and_evaluate_leave_the_row_out(self, cli, tmp_path):
+        data, model = tmp_path / "s40.csv", tmp_path / "m.flowelm"
+        assert cli("synth", "--features", "40", "--seed", "7", "--out", str(data)).returncode == 0
+        result = cli("train", "--input", str(data), "--model", str(model), "--seed", "3")
+        assert result.returncode == 0, result.stderr
+        assert {27, 31} <= set(dataio.load_model(model).selection.kept_indices)  # noise columns, std near 1
+        lines = data.read_text().splitlines()[:8]
+        for line_no, value in enumerate(["9e307", "1.7e308", "-1.7e308", "1e200", "1e160"], start=1):
+            cells = lines[line_no].split(",")
+            cells[27] = cells[31] = value
+            lines[line_no] = ",".join(cells)
+        near = tmp_path / "near.csv"
+        near.write_text("\n".join(lines) + "\n")
+
+        result = cli("score", "--model", str(model), "--input", str(near))
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert out[:5] == [f"{i},ERROR,numeric field overflows when scaled" for i in range(5)]
+        assert all(",ERROR," not in line for line in out[5:]) and len(out) == 7
+        assert result.stderr == "flowelm: score: 5 malformed record(s) skipped\n"
+        result = cli("evaluate", "--model", str(model), "--input", str(near))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "flowelm: evaluate: skipped 5 record(s) with a value that overflows when scaled\n"
 
 
 class TestOneFailClosedPath:
@@ -1086,6 +1144,14 @@ class TestExitCodeMapping:
         result = cli(command, "--input", str(blank), "--model", str(model))
         assert result.returncode == 2
         assert result.stderr == f"flowelm: load: {blank}:6: empty traffic category\n"
+
+    def test_label_column_named_twice_exits_2(self, cli, small_synth_csv, tmp_path):
+        lines = small_synth_csv.read_text().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join(f"{line},{line.rsplit(',', 1)[1]}\n" for line in lines))
+        result = cli("train", "--input", str(twice), "--model", str(tmp_path / "m.flowelm"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"flowelm: load: {twice}: the 'Label' column is named more than once;")
 
 
 class TestReportFormat:

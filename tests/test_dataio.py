@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,59 @@ class TestLoadCsv:
             assert ds.n_samples == 5
 
 
+class TestLabelBits:
+    """load_csv turns each label cell into its 0/1 bit as it reads the row."""
+
+    def test_benign_maps_to_zero(self, tmp_path):
+        path = write(tmp_path, "f1,Label\n1,Benign\n2,BENIGN\n3, benign \n4,DDoS\n")
+        assert dataio.load_csv(path).labels.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "category",
+        [
+            "DDoS-SYN Flood",
+            "DoS-TCP Flood",
+            "MQTT-Malformed Data",
+            "Recon-Port Scan",
+            "ARP Spoofing",
+        ],
+    )
+    def test_attack_categories_map_to_one(self, tmp_path, category):
+        path = write(tmp_path, f"f1,Label\n1,Benign\n2,{category}\n")
+        assert dataio.load_csv(path).labels.tolist() == [0, 1]
+
+    def test_empty_category_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "f1,Label\n1,Benign\n2,  \n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: empty traffic category$"):
+            dataio.load_csv(path)
+
+    def test_custom_benign_value(self, tmp_path):
+        path = write(tmp_path, "f1,Label\n1,normal\n2,attack\n3,Benign\n")
+        ds = dataio.load_csv(path, CsvSchema(benign_value=" Normal "))
+        assert ds.labels.tolist() == [0, 1, 1]
+
+
+class TestFeaturePositions:
+    """One rule picks a header's feature cells, for load_csv and score alike."""
+
+    def test_every_name_but_the_label_and_the_excluded(self):
+        schema = CsvSchema(exclude_columns=("ts", "id"))
+        assert schema.feature_positions([" ts", "rate", "Label ", "size", "id", "proto"]) == [1, 3, 5]
+
+    def test_load_csv_reads_the_label_anywhere(self, tmp_path):
+        path = write(tmp_path, "ts,rate,Label,size\n9,1,Benign,2\n8,3,DoS,4\n")
+        ds = dataio.load_csv(path, CsvSchema(exclude_columns=("ts",)))
+        assert ds.feature_names == ("rate", "size")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_label_column_named_twice_rejected(self, tmp_path):
+        # the second one was once a one-hot feature holding the target itself
+        path = write(tmp_path, "rate,Label,size,Label\n1,Benign,2,Benign\n3,DoS,4,DoS\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: the 'Label' column is named more than once"):
+            dataio.load_csv(path)
+
+
 class TestRecordLayout:
     def test_feature_names_round_trip(self):
         names = ("rate", "proto=tcp", "proto=udp", "size", "flag=a=b")
@@ -309,6 +363,28 @@ class TestModelArtifact:
         assert kept_rows.tolist() == [0, 2, 3, 5, 7, 8]
         assert x.tobytes() == every_row[kept_rows].tobytes()
         assert x.flags.c_contiguous and x.flags.writeable
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_transform_leaves_out_rows_the_hidden_layer_could_overflow_on(self, activation):
+        base = make_artifact()
+        params = ElmParams(hidden_nodes=10, activation=activation, seed=3, rbf_gamma=2.0)
+        w, b = elm.init_random(params, 3)
+        artifact = ModelArtifact(
+            model=elm.ElmModel(w, b, base.model.output_weights, params, 3),
+            selection=base.selection, scaler=ScalerState(means=np.zeros(3), stds=np.ones(3)),
+            schema=base.schema, feature_names=base.feature_names, seed=3,
+        )
+        limit = artifact._limit
+        assert 1e150 < limit < 1e160
+        rows = np.ones((elm._BLOCK_ROWS, 4))
+        rows[:, [0, 2, 3]] = limit  # every kept value at the limit: scored, with no warning
+        rows[1::2, 2] = -limit
+        rows[5, 3] = np.nextafter(limit, np.inf)
+        rows[9, 0] = -1.7e308
+        x, kept_rows, finite = artifact.transform(rows)
+        assert finite.all()
+        assert kept_rows.tolist() == [i for i in range(len(rows)) if i not in (5, 9)]
+        assert np.isfinite(elm.score(artifact.model, x)).all()
 
     def test_non_utf8_artifact_rejected(self, tmp_path):
         artifact = make_artifact()

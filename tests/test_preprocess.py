@@ -212,34 +212,6 @@ class TestCleanMemory:
         assert peak < 1.5 * ds.features.nbytes, f"peak {peak} bytes, features {ds.features.nbytes}"
 
 
-class TestBinarizeLabels:
-    def test_benign_maps_to_zero(self):
-        assert preprocess.binarize_labels(["Benign"])[0] == 0
-        assert preprocess.binarize_labels(["BENIGN"])[0] == 0
-        assert preprocess.binarize_labels([" benign "])[0] == 0
-
-    @pytest.mark.parametrize(
-        "category",
-        [
-            "DDoS-SYN Flood",
-            "DoS-TCP Flood",
-            "MQTT-Malformed Data",
-            "Recon-Port Scan",
-            "ARP Spoofing",
-        ],
-    )
-    def test_attack_categories_map_to_one(self, category):
-        assert preprocess.binarize_labels([category])[0] == 1
-
-    def test_empty_category_reports_row(self):
-        with pytest.raises(DataError, match="row 1"):
-            preprocess.binarize_labels(["Benign", "  "])
-
-    def test_custom_benign_value(self):
-        labels = preprocess.binarize_labels(["normal", "attack"], benign_value="Normal")
-        assert list(labels) == [0, 1]
-
-
 class TestSelectFeatures:
     def test_label_copy_column_kept_with_r_one(self):
         labels = [0, 1, 0, 1]

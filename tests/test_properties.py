@@ -4,7 +4,8 @@ the stream get one verdict per line, and a damaged model artifact either
 loads or raises one of the artifact errors.
 
 The CLI runs in-process (`flowelm.cli.main`) so that each example is cheap.
-The model has a numeric, a categorical and another numeric column.
+The model has a numeric, a categorical and another numeric column; its
+schema excludes a `ts` column.
 """
 
 import contextlib
@@ -81,27 +82,36 @@ def cells_of(record):
 def model(tmp_path_factory):
     work = tmp_path_factory.mktemp("properties")
     rs = np.random.RandomState(5)
-    lines = ["rate,proto,size,Label"]
+    lines = ["ts,rate,proto,size,Label"]
     for i in range(240):
         attack = i % 2
         proto = rs.choice(PROTOCOLS, p=[0.1, 0.2, 0.7] if attack else [0.3, 0.6, 0.1])
         rate, size = rs.normal(4 + 3 * attack, 2.0), rs.normal(500 - 80 * attack, 120)
-        lines.append(f"{rate:.5g},{proto},{size:.5g},{'DDoS' if attack else 'Benign'}")
+        lines.append(f"{i},{rate:.5g},{proto},{size:.5g},{'DDoS' if attack else 'Benign'}")
     (work / "train.csv").write_text("\n".join(lines) + "\n")
     code, _, err = run("train", "--input", work / "train.csv", "--model", work / "m.flowelm",
-                       "--hidden", "12", "--corr-threshold", "0", "--seed", "2")
+                       "--hidden", "12", "--corr-threshold", "0", "--seed", "2", "--exclude-columns", "ts")
     assert code == 0, err
     return work / "m.flowelm", work
 
 
 @settings(max_examples=100, deadline=None)
-@given(records)
-def test_stream_labels_equal_batch_labels(model, records):
+@given(records, st.integers(0, 3), st.integers(0, 4), st.sampled_from(["", "17", "nan", "x y"]))
+def test_stream_labels_equal_batch_labels(model, records, label_at, ts_at, ts):
+    """The label at any position, and a column the model excludes at any
+    other: score reads the capture as evaluate does."""
     path, work = model
     capture = work / "labeled.csv"
     labeled = [(r, r[3]) for r in records] + [(records[0], False), (records[0], True)]  # for the AUC
-    rows = [",".join(cells_of(r) + ["DDoS" if attack else "Benign"]) for r, attack in labeled]
-    capture.write_text("\n".join(["rate,proto,size,Label"] + rows) + "\n")
+
+    def line(features, label, stamp):
+        cells = list(features)
+        cells.insert(label_at, label)
+        cells.insert(ts_at, stamp)
+        return ",".join(cells)
+
+    rows = [line(cells_of(r), "DDoS" if attack else "Benign", ts) for r, attack in labeled]
+    capture.write_text("\n".join([line(["rate", "proto", "size"], "Label", "ts")] + rows) + "\n")
 
     code, out, err = run("score", "--model", path, "--input", capture)
     assert code == 0, err
