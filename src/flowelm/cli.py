@@ -336,12 +336,8 @@ def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int, dropped):
         return cells
     if len(cells) != n_cells:
         return f"expected {n_cells} fields, got {len(cells)}"
-    # the cells that are not feature cells, back to front: deleting these
-    # few costs less per record than building a list of the feature cells
-    for i in dropped:
-        del cells[i]
     try:
-        return artifact.layout.decode(cells)
+        return artifact.layout.decode(dataio._feature_cells(cells, dropped))
     except ParseError:
         return "unknown category value"
 
@@ -390,10 +386,10 @@ def cmd_score(args) -> int:
                     continue  # blank line
                 if first:
                     first = False
-                    positions = [] if isinstance(cells, str) else artifact.schema.feature_positions(cells)
-                    if [cells[i].strip() for i in positions] == columns:  # load_csv's header test
-                        n_cells = len(cells)
-                        dropped = [i for i in reversed(range(n_cells)) if i not in positions]
+                    header = [] if isinstance(cells, str) else [cell.strip() for cell in cells]
+                    header_dropped = artifact.schema.dropped_positions(header)
+                    if dataio._feature_cells(header, header_dropped) == columns:  # load_csv's header test
+                        n_cells, dropped = len(cells), header_dropped
                         continue
                 records.append((ordinal, _record_row(artifact, cells, n_cells, dropped)))
                 ordinal += 1
@@ -559,10 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The values a config file may give an on/off flag, in any case.
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config_file(parser, command, path):
     """Install a config file's key=value pairs as the running command's
     defaults. A key the command has no flag for is ignored; a value goes
-    through its flag's type and choices."""
+    through its flag's type and choices, or must be in _SWITCH_VALUES for
+    an on/off flag."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [raw.strip() for raw in fh]
@@ -581,14 +583,14 @@ def _apply_config_file(parser, command, path):
         action = command.options.get(key)
         if action is None:
             continue
-        if action.nargs == 0:  # an on/off flag such as --leak-free
-            usable[key] = text.lower() in ("1", "true", "yes", "on")
-            continue
         try:
-            value = text if action.type is None else action.type(text)
+            if action.nargs == 0:  # an on/off flag such as --leak-free
+                value = _SWITCH_VALUES[text.lower()]
+            else:
+                value = text if action.type is None else action.type(text)
             if action.choices is not None and value not in action.choices:
                 raise ValueError(text)
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             parser.error(f"bad config value for {key}: {text!r}")
         usable[key] = value
     command.set_defaults(**usable)

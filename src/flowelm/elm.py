@@ -59,8 +59,8 @@ class ElmParams:
     def __post_init__(self):
         if self.hidden_nodes < 1:
             raise DataError("hidden_nodes must be >= 1")
-        if not self.rbf_gamma > 0:
-            raise DataError("rbf_gamma must be positive")
+        if not (math.isfinite(self.rbf_gamma) and self.rbf_gamma > 0):
+            raise DataError("rbf_gamma must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,17 @@
 """Hyperparameter search: stratified k-fold CV over a width/activation grid.
 
-Every fold re-fits the scaler on its own training rows, so no validation
-statistics leak into training. The network seed for a fold is derived from
-(base seed, fold index, configuration content), which makes fold metrics a
-pure function of the arguments: evaluation order, parallelism, and grid
-enumeration cannot change any number.
+The folds are dealt once per grid, and each fold fits one scaler on its
+own training rows, so no validation statistics leak into training. The
+network seed for a fold is derived from (base seed, fold index,
+configuration content), which makes fold metrics a pure function of the
+arguments: evaluation order, parallelism, and grid enumeration cannot
+change any number.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,31 +85,6 @@ def _fold_seed(seed: int, fold_index: int, params: ElmParams) -> int:
     )
 
 
-def cross_validate(
-    data: FlowDataset,
-    params: ElmParams,
-    folds: int,
-    seed: int,
-    metric: str = "f1",
-) -> list[float]:
-    """Per-fold validation metric for one configuration.
-
-    The configuration's own seed field is ignored; each fold trains with a
-    seed derived from (seed, fold index, configuration content).
-    """
-    scores = []
-    for fold_index, (train_idx, valid_idx) in enumerate(kfold_indices(data.labels, folds, seed)):
-        fold_params = replace(params, seed=_fold_seed(seed, fold_index, params))
-        scaler = fit_scaler(data.features[train_idx])
-        x_train = apply_scaler(scaler, data.features[train_idx])
-        x_valid = apply_scaler(scaler, data.features[valid_idx])
-        model = elm.fit(x_train, data.labels[train_idx], fold_params)
-        pred = elm.predict(model, x_valid, 0.5)
-        cm = metrics.confusion(data.labels[valid_idx], pred)
-        scores.append(_metric_value(cm, metric))
-    return scores
-
-
 @dataclass(frozen=True)
 class GridEntry:
     params: ElmParams
@@ -153,32 +130,54 @@ def _leaderboard_key(entry: GridEntry):
     )
 
 
-def grid_search(data: FlowDataset, spec: GridSpec, workers: int = 1) -> GridResult:
-    """Evaluate every configuration by CV and rank them.
+def _fold_outcomes(pool, data: FlowDataset, train_idx, valid_idx, jobs, metric: str) -> list:
+    """Per configuration in `jobs`: its metric on one fold, or the message
+    of the error its fit raised. The fold's rows are scaled once, by a
+    scaler fitted on its training rows, and go on return."""
+    rows = data.features[train_idx]
+    scaler = fit_scaler(rows)
+    x_train, y_train = apply_scaler(scaler, rows), data.labels[train_idx]
+    del rows
+    x_valid, y_valid = apply_scaler(scaler, data.features[valid_idx]), data.labels[valid_idx]
 
-    A configuration whose evaluation raises is kept on the leaderboard with
-    mean -inf instead of aborting the sweep. Results are identical whatever
-    `workers` is set to.
+    def outcome(params: ElmParams) -> float | str:
+        try:
+            model = elm.fit(x_train, y_train, params)
+            return _metric_value(metrics.confusion(y_valid, elm.predict(model, x_valid, 0.5)), metric)
+        except FlowElmError as exc:
+            return str(exc)
+
+    return list(map(outcome, jobs) if pool is None else pool.map(outcome, jobs))
+
+
+def grid_search(data: FlowDataset, spec: GridSpec, workers: int = 1) -> GridResult:
+    """Evaluate every configuration by CV, one fold at a time, and rank them.
+
+    A configuration whose fit raises keeps the message, runs no later
+    folds, and stays on the leaderboard with mean -inf; an error while
+    dealing or scaling a fold fails every configuration still running.
+    Results are identical whatever `workers` is set to.
     """
     configs = configurations(spec)
-
-    def evaluate_config(params: ElmParams) -> GridEntry:
+    results: list = [[] for _ in configs]  # per configuration: its fold scores, or its error message
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         try:
-            fold_scores = cross_validate(data, params, spec.folds, spec.seed, spec.metric)
-        except FlowElmError as exc:
-            return GridEntry(params, (), float("-inf"), 0.0, error=str(exc))
-        arr = np.asarray(fold_scores)
-        return GridEntry(params, tuple(fold_scores), float(arr.mean()), float(arr.std()))
-
-    if workers <= 1:
-        entries = [evaluate_config(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(evaluate_config, configs))
-
+            for k, (train_idx, valid_idx) in enumerate(kfold_indices(data.labels, spec.folds, spec.seed)):
+                live = [i for i, result in enumerate(results) if isinstance(result, list)]
+                if not live:
+                    break
+                jobs = [replace(configs[i], seed=_fold_seed(spec.seed, k, configs[i])) for i in live]
+                for i, outcome in zip(live, _fold_outcomes(pool, data, train_idx, valid_idx, jobs, spec.metric)):
+                    results[i] = outcome if isinstance(outcome, str) else results[i] + [outcome]
+        except FlowElmError as exc:  # from dealing or scaling a fold
+            results = [str(exc) if isinstance(result, list) else result for result in results]
+    entries = [
+        GridEntry(params, (), float("-inf"), 0.0, error=result)
+        if isinstance(result, str)
+        else GridEntry(params, tuple(result), float(np.mean(result)), float(np.std(result)))
+        for params, result in zip(configs, results)
+    ]
     leaderboard = tuple(sorted(entries, key=_leaderboard_key))
     if leaderboard[0].error is not None:
-        raise DataError(
-            f"every grid configuration failed; first error: {leaderboard[0].error}"
-        )
+        raise DataError(f"every grid configuration failed; first error: {leaderboard[0].error}")
     return GridResult(entries=leaderboard, best=leaderboard[0].params)

@@ -248,7 +248,8 @@ def select_features(data: FlowDataset, threshold: float = 0.02) -> FeatureSelect
 
 @dataclass(frozen=True, eq=False)
 class ScalerState:
-    """Per-column mean and population standard deviation of the training rows."""
+    """Per-column mean and population standard deviation of the training
+    rows: finite, and each standard deviation above 0."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -258,6 +259,8 @@ class ScalerState:
         stds = np.array(self.stds, dtype=np.float64, copy=True)
         if means.shape != stds.shape or means.ndim != 1:
             raise ShapeError("scaler means/stds must be equal-length vectors")
+        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise DataError("scaler means and standard deviations must be finite")
         if not (stds > 0).all():
             raise DataError("scaler standard deviations must be strictly positive")
         means.setflags(write=False)

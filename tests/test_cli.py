@@ -137,13 +137,9 @@ class TestGrid:
         data = preprocess.clean(dataio.load_csv(small_synth_csv))
         prepared = prepare(data, args.corr_threshold, args.train_fraction, args.seed, args.leak_free)
         for hidden, shown in printed.items():
-            scores = model_select.cross_validate(
-                prepared.train,
-                model_select.ElmParams(hidden, Activation.TANH, seed=6),
-                folds=3,
-                seed=6,
-            )
-            assert abs(np.mean(scores) - shown) < 5e-5  # stdout rounds to 4 decimals
+            spec = model_select.GridSpec(hidden_nodes=(hidden,), activations=(Activation.TANH,), folds=3, seed=6)
+            (entry,) = model_select.grid_search(prepared.train, spec).entries
+            assert abs(entry.mean - shown) < 5e-5  # stdout rounds to 4 decimals
 
 
 class TestEvaluate:
@@ -940,6 +936,27 @@ class TestConfigFile:
         assert result.returncode == 1
         assert "bad config value for activation: 'bogus'" in result.stderr
         assert "Traceback" not in result.stderr and not model.exists()
+
+    def test_mistyped_switch_in_config_file_exits_1(self, cli, small_synth_csv, tmp_path):
+        config = tmp_path / "defaults.cfg"
+        config.write_text("leak_free=ture\n")
+        model = tmp_path / "m.flowelm"
+        result = cli("train", "--config", str(config), "--input", str(small_synth_csv), "--model", str(model))
+        assert result.returncode == 1
+        assert "bad config value for leak_free: 'ture'" in result.stderr
+        assert "Traceback" not in result.stderr and not model.exists()
+
+    @pytest.mark.parametrize("text, on", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+    ])
+    def test_switch_values_in_config_file(self, tmp_path, text, on):
+        config = tmp_path / "defaults.cfg"
+        config.write_text(f"leak-free={text}\n")
+        parser = cli_mod.build_parser()
+        argv = ["train", "--config", str(config), "--input", "x", "--model", "m"]
+        cli_mod._apply_config_file(parser, parser.commands["train"], str(config))
+        assert parser.parse_args(argv).leak_free is on
 
     def test_value_outside_choices_in_config_file_exits_1(self, cli, small_synth_csv, tmp_path):
         config = tmp_path / "defaults.cfg"

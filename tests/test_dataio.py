@@ -224,7 +224,9 @@ class TestFeaturePositions:
 
     def test_every_name_but_the_label_and_the_excluded(self):
         schema = CsvSchema(exclude_columns=("ts", "id"))
-        assert schema.feature_positions([" ts", "rate", "Label ", "size", "id", "proto"]) == [1, 3, 5]
+        header = [" ts", "rate", "Label ", "size", "id", "proto"]
+        assert schema.dropped_positions(header) == [4, 2, 0]  # back to front
+        assert dataio._feature_cells(header, [4, 2, 0]) == ["rate", "size", "proto"]
 
     def test_load_csv_reads_the_label_anywhere(self, tmp_path):
         path = write(tmp_path, "ts,rate,Label,size\n9,1,Benign,2\n8,3,DoS,4\n")
@@ -474,6 +476,9 @@ class TestFormatV1:
             ("0.5 2\n", "0.5\n"),
             ("schema.delimiter=;", "schema.delimiter=;;"),
             ("elm.rbf_gamma=0.5", "elm.rbf_gamma=nan"),
+            ("elm.rbf_gamma=0.5", "elm.rbf_gamma=inf"),
+            ("scaler.means=1 10 -3", "scaler.means=nan 10 -3"),
+            ("scaler.stds=2 5 0.5", "scaler.stds=inf 5 0.5"),
             ("elm.hidden_nodes=2", "elm.hidden_nodes=-2"),
             ("elm.activation=rbf", "elm.activation=relu"),
             ("selection.n_original=4", "selection.n_original=400000000000"),

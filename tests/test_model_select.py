@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowelm import model_select, preprocess
+from flowelm import elm, model_select, preprocess
 from flowelm.elm import Activation, ElmParams
 from flowelm.errors import DataError, StratificationError
 from flowelm.model_select import GridSpec
@@ -109,31 +109,36 @@ class TestKfold:
             model_select.kfold_indices(labels, folds=4, seed=0)
 
 
+def one_configuration_scores(data, params, folds, seed, metric="f1"):
+    """The fold scores of a grid of `params` alone."""
+    spec = GridSpec(
+        hidden_nodes=(params.hidden_nodes,),
+        activations=(params.activation,),
+        rbf_gammas=(params.rbf_gamma,),
+        folds=folds,
+        seed=seed,
+        metric=metric,
+    )
+    (entry,) = model_select.grid_search(data, spec).entries
+    return list(entry.fold_scores)
+
+
 class TestCrossValidate:
+    """Cross-validation of one configuration: a grid of that one alone."""
+
     def test_separable_toy_high_accuracy(self, separable_data):
         params = ElmParams(hidden_nodes=32, activation=Activation.TANH, seed=0)
-        scores = model_select.cross_validate(
-            separable_data, params, folds=5, seed=3, metric="accuracy"
-        )
+        scores = one_configuration_scores(separable_data, params, folds=5, seed=3, metric="accuracy")
         assert np.mean(scores) >= 0.95
 
     def test_metric_list_length_equals_folds(self, separable_data):
         params = ElmParams(hidden_nodes=8, activation=Activation.SIGMOID, seed=0)
-        assert len(model_select.cross_validate(separable_data, params, 4, 0)) == 4
+        assert len(one_configuration_scores(separable_data, params, 4, 0)) == 4
 
     def test_repeat_call_identical(self, separable_data):
         params = ElmParams(hidden_nodes=16, activation=Activation.TANH, seed=0)
-        a = model_select.cross_validate(separable_data, params, 5, 11)
-        b = model_select.cross_validate(separable_data, params, 5, 11)
-        assert a == b
-
-    def test_params_seed_field_is_ignored(self, separable_data):
-        a = model_select.cross_validate(
-            separable_data, ElmParams(16, Activation.TANH, seed=1), 5, 11
-        )
-        b = model_select.cross_validate(
-            separable_data, ElmParams(16, Activation.TANH, seed=99), 5, 11
-        )
+        a = one_configuration_scores(separable_data, params, 5, 11)
+        b = one_configuration_scores(separable_data, params, 5, 11)
         assert a == b
 
     def test_no_leakage_scaler_sees_only_fold_train_rows(self, separable_data, monkeypatch):
@@ -153,7 +158,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(model_select, "fit_scaler", spy)
         params = ElmParams(hidden_nodes=4, activation=Activation.TANH, seed=0)
-        model_select.cross_validate(marked, params, folds=5, seed=2)
+        one_configuration_scores(marked, params, folds=5, seed=2)
         pairs = model_select.kfold_indices(marked.labels, 5, 2)
         assert len(seen) == 5
         for markers, (train_idx, _) in zip(seen, pairs):
@@ -184,9 +189,7 @@ class TestGridSearch:
         assert rbf_gammas == [0.5, 0.5, 2.0, 2.0]
 
     def test_equal_means_tie_break_prefers_fewer_nodes(self, separable_data, monkeypatch):
-        monkeypatch.setattr(
-            model_select, "cross_validate", lambda *args, **kwargs: [0.9, 0.9]
-        )
+        monkeypatch.setattr(model_select, "_metric_value", lambda cm, metric: 0.9)
         spec = GridSpec(
             hidden_nodes=(64, 16), activations=(Activation.TANH,), folds=2, seed=0
         )
@@ -194,9 +197,7 @@ class TestGridSearch:
         assert result.best.hidden_nodes == 16
 
     def test_equal_means_tie_break_activation_order(self, separable_data, monkeypatch):
-        monkeypatch.setattr(
-            model_select, "cross_validate", lambda *args, **kwargs: [0.9, 0.9]
-        )
+        monkeypatch.setattr(model_select, "_metric_value", lambda cm, metric: 0.9)
         spec = GridSpec(
             hidden_nodes=(16,),
             activations=(Activation.RBF, Activation.SIGMOID, Activation.TANH),
@@ -218,21 +219,21 @@ class TestGridSearch:
         means = [entry.mean for entry in result.entries]
         assert means == sorted(means, reverse=True)
         for entry in result.entries:
-            independent = model_select.cross_validate(
-                separable_data, entry.params, spec.folds, spec.seed, spec.metric
-            )
-            assert np.abs(np.array(independent) - np.array(entry.fold_scores)).max() < 1e-12
-            assert abs(entry.mean - np.mean(independent)) < 1e-12
+            alone = one_configuration_scores(separable_data, entry.params, spec.folds, spec.seed, spec.metric)
+            assert list(entry.fold_scores) == alone
+            assert entry.mean == np.mean(alone)
 
     def test_failed_configuration_does_not_abort(self, separable_data, monkeypatch):
-        real = model_select.cross_validate
+        real = elm.fit
+        widths = []
 
-        def flaky(data, params, folds, seed, metric="f1"):
+        def flaky(x, y, params):
+            widths.append(params.hidden_nodes)
             if params.hidden_nodes == 8:
                 raise DataError("synthetic failure")
-            return real(data, params, folds, seed, metric)
+            return real(x, y, params)
 
-        monkeypatch.setattr(model_select, "cross_validate", flaky)
+        monkeypatch.setattr(elm, "fit", flaky)
         spec = GridSpec(hidden_nodes=(8, 16), activations=(Activation.TANH,), folds=2, seed=0)
         result = model_select.grid_search(separable_data, spec)
         assert len(result.entries) == 2
@@ -241,6 +242,56 @@ class TestGridSearch:
         assert failed[0].mean == float("-inf")
         assert result.entries[-1] is failed[0]
         assert result.best.hidden_nodes == 16
+        assert widths == [8, 16, 16]  # the failed configuration runs no later fold
+
+    def test_folds_dealt_and_scaled_once_for_every_configuration(self, separable_data, monkeypatch):
+        calls = {"kfold_indices": 0, "fit_scaler": 0}
+
+        def counted(name):
+            real = getattr(model_select, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(model_select, name, counted(name))
+        spec = GridSpec(
+            hidden_nodes=(4, 8, 16),
+            activations=(Activation.TANH, Activation.SIGMOID, Activation.RBF),
+            folds=5,
+            seed=1,
+        )
+        result = model_select.grid_search(separable_data, spec)
+        assert len(result.entries) == 9
+        assert calls == {"kfold_indices": 1, "fit_scaler": 5}
+
+    def test_class_smaller_than_folds_fails_every_configuration(self, separable_data):
+        keep = np.concatenate([np.flatnonzero(separable_data.labels == 0), np.flatnonzero(separable_data.labels)[:2]])
+        data = separable_data.subset_rows(keep)
+        spec = GridSpec(hidden_nodes=(4, 8), activations=(Activation.TANH,), folds=3, seed=0)
+        with pytest.raises(DataError, match=(
+            r"^every grid configuration failed; first error: class 1 has 2 sample\(s\) but 3 folds were requested$"
+        )):
+            model_select.grid_search(data, spec)
+
+    def test_fold_scaling_error_fails_every_running_configuration(self, separable_data, monkeypatch):
+        real = model_select.fit_scaler
+        fits = []
+
+        def failing_second_fold(features):
+            fits.append(len(features))
+            if len(fits) == 2:
+                raise DataError("scaler failure")
+            return real(features)
+
+        monkeypatch.setattr(model_select, "fit_scaler", failing_second_fold)
+        spec = GridSpec(hidden_nodes=(4, 8), activations=(Activation.TANH,), folds=3, seed=0)
+        with pytest.raises(DataError, match=r"^every grid configuration failed; first error: scaler failure$"):
+            model_select.grid_search(separable_data, spec)
+        assert len(fits) == 2  # no fold is scaled after the failure
 
     def test_serial_and_parallel_identical(self, separable_data):
         spec = GridSpec(

@@ -303,6 +303,12 @@ class TestScaler:
         with pytest.raises(DataError, match="column 0"):
             preprocess.fit_scaler(np.array([[5.0], [5.0], [5.0]]))
 
+    @pytest.mark.parametrize("column", [[1.7e308, 1.7e308, 1e308], [1e308, -1e308, 1e308]])
+    def test_column_whose_mean_or_std_overflows_errors(self, column):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="^scaler means and standard deviations must be finite$"):
+                preprocess.fit_scaler(np.array(column)[:, None])
+
     def test_matches_loop_oracle(self):
         rs = np.random.RandomState(2)
         arr = rs.randn(10, 2)
