@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import dataio, metrics, model_select, preprocess
 from . import elm as elm_mod
@@ -138,45 +137,6 @@ def _schema_from_args(args, base: dataio.CsvSchema | None = None) -> dataio.CsvS
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedData:
-    selection: preprocess.FeatureSelection
-    train: preprocess.FlowDataset  # selected columns, unscaled
-    test: preprocess.FlowDataset  # all ingested columns; the artifact selects
-    # of the cleaned data, for the artifact
-    feature_names: tuple[str, ...]
-    fingerprint: str
-    source: str
-
-
-def prepare(
-    data: preprocess.FlowDataset, corr_threshold: float, train_fraction: float, seed: int, leak_free: bool
-) -> PreparedData:
-    """Split rows, then select features from the full data (or, leak-free,
-    from the training rows only) and restrict the training side to them.
-
-    The split is drawn as row indices first; the training side is then
-    taken with only the selected columns, so no full-width copy of it is
-    made unless leak-free selection reads one. When the caller passes its
-    last reference to `data`, the data goes on return.
-    """
-    train_rows, test_rows = _stage("split", preprocess.split_indices, data.labels, train_fraction, seed)
-    selection = _stage(
-        "select-features",
-        preprocess.select_features,
-        data.subset_rows(train_rows) if leak_free else data,
-        corr_threshold,
-    )
-    return PreparedData(
-        selection=selection,
-        train=data.subset_rows(train_rows, selection.kept_indices),
-        test=data.subset_rows(test_rows),
-        feature_names=data.feature_names,
-        fingerprint=dataio.fingerprint(data),
-        source=data.source,
-    )
-
-
 def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
     """Report on the rows of all ingested columns that the artifact's
     transform lets through; the rows it leaves out are counted on stderr."""
@@ -200,32 +160,52 @@ def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, thre
     return _stage("evaluate", metrics.evaluate, artifact.model, scored, threshold)
 
 
-def _fit_and_evaluate(args, prepared: PreparedData, params: ElmParams, schema):
-    """Fit on the training rows; report on the test rows through the artifact."""
-    scaler = _stage("fit-scaler", preprocess.fit_scaler, prepared.train.features)
-    x_train = preprocess.apply_scaler(scaler, prepared.train.features)
-    model = _stage("train", elm_mod.fit, x_train, prepared.train.labels, params)
+def _train_pipeline(args, choose_params) -> int:
+    """schema, load, clean, split, select features, choose the ELM
+    parameters, fit the scaler and the model, report on the held-out rows,
+    save. `choose_params` maps the training rows (selected columns,
+    unscaled) to the ElmParams to fit. Each array goes as soon as the next
+    stage is done with it."""
+    schema = _stage("schema", _schema_from_args, args)
+    data = _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema))
+    train_rows, test_rows = _stage(
+        "split", preprocess.split_indices, data.labels, args.train_fraction, args.seed
+    )
+    selection = _stage(
+        "select-features",
+        preprocess.select_features,
+        data.subset_rows(train_rows) if args.leak_free else data,
+        args.corr_threshold,
+    )
+    # only the selected columns, so no full-width copy of the training side is made
+    train = data.subset_rows(train_rows, selection.kept_indices)
+    test = data.subset_rows(test_rows)  # all ingested columns; the artifact selects
+    feature_names, fingerprint, source = data.feature_names, dataio.fingerprint(data), data.source
+    del data, train_rows, test_rows  # the cleaned rows go before the search and the fit
+    params = choose_params(train)
+    scaler = _stage("fit-scaler", preprocess.fit_scaler, train.features)
+    x_train, y_train = preprocess.apply_scaler(scaler, train.features), train.labels
+    del train  # the unscaled training rows go before the fit
+    model = _stage("train", elm_mod.fit, x_train, y_train, params)
     del x_train  # before the held-out rows are scored
     artifact = dataio.ModelArtifact(
         model=model,
-        selection=prepared.selection,
+        selection=selection,
         scaler=scaler,
         schema=schema,
-        feature_names=prepared.feature_names,
+        feature_names=feature_names,
         seed=args.seed,
-        fingerprint=prepared.fingerprint,
-        source=prepared.source,
+        fingerprint=fingerprint,
+        source=source,
     )
-    return artifact, _evaluate(artifact, prepared.test, args.threshold)
-
-
-def _emit_outputs(args, artifact, report) -> None:
+    report = _evaluate(artifact, test, args.threshold)
     _stage("save", dataio.save_model, artifact, args.model)
     report_path = args.report or f"{args.model}.report.txt"
     _stage("report", dataio.write_atomic, report_path, format_report(report))
     print(f"model -> {args.model}")
     print(f"report -> {report_path}")
     display_summary(report)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +213,16 @@ def _emit_outputs(args, artifact, report) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_and_prepare(args):
-    schema = _stage("schema", _schema_from_args, args)
-    # no name here holds the raw or the cleaned rows, so each goes as soon
-    # as the next stage is done with it
-    return schema, prepare(
-        _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema)),
-        args.corr_threshold,
-        args.train_fraction,
-        args.seed,
-        args.leak_free,
-    )
-
-
 def cmd_train(args) -> int:
-    schema, prepared = _load_and_prepare(args)
-    params = ElmParams(
-        hidden_nodes=args.hidden,
-        activation=Activation.from_name(args.activation),
-        seed=args.seed,
-        rbf_gamma=args.rbf_gamma,
-    )
-    _emit_outputs(args, *_fit_and_evaluate(args, prepared, params, schema))
-    return 0
+    def flag_params(_train):
+        return ElmParams(
+            hidden_nodes=args.hidden,
+            activation=Activation.from_name(args.activation),
+            seed=args.seed,
+            rbf_gamma=args.rbf_gamma,
+        )
+
+    return _train_pipeline(args, flag_params)
 
 
 def _format_grid_line(entry: model_select.GridEntry) -> str:
@@ -269,21 +236,22 @@ def _format_grid_line(entry: model_select.GridEntry) -> str:
 
 
 def cmd_grid(args) -> int:
-    schema, prepared = _load_and_prepare(args)
-    spec = model_select.GridSpec(
-        hidden_nodes=args.hidden,
-        activations=tuple(Activation.from_name(a) for a in args.activation),
-        rbf_gammas=args.rbf_gamma,
-        folds=args.folds,
-        seed=args.seed,
-        metric=args.metric,
-    )
-    result = _stage("grid-search", model_select.grid_search, prepared.train, spec)
-    print(f"Grid leaderboard ({spec.metric}, {spec.folds}-fold CV, best first):")
-    for entry in result.entries:
-        print(f"  {_format_grid_line(entry)}")
-    _emit_outputs(args, *_fit_and_evaluate(args, prepared, result.best, schema))
-    return 0
+    def searched_params(train):
+        spec = model_select.GridSpec(
+            hidden_nodes=args.hidden,
+            activations=tuple(Activation.from_name(a) for a in args.activation),
+            rbf_gammas=args.rbf_gamma,
+            folds=args.folds,
+            seed=args.seed,
+            metric=args.metric,
+        )
+        result = _stage("grid-search", model_select.grid_search, train, spec)
+        print(f"Grid leaderboard ({spec.metric}, {spec.folds}-fold CV, best first):")
+        for entry in result.entries:
+            print(f"  {_format_grid_line(entry)}")
+        return result.best
+
+    return _train_pipeline(args, searched_params)
 
 
 def cmd_evaluate(args) -> int:

@@ -587,8 +587,8 @@ class SyntheticSpec:
         unknown = sorted(set(mix) - set(ATTACK_CATEGORIES))
         if unknown:
             raise DataError(f"invalid attack mix: unknown categories {unknown}")
-        if any(w < 0 for w in mix.values()):
-            raise DataError("invalid attack mix: weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in mix.values()):
+            raise DataError("invalid attack mix: weights must be finite and non-negative")
         if abs(sum(mix.values()) - 1.0) > 1e-9:
             raise DataError("invalid attack mix: weights must sum to 1")
         object.__setattr__(self, "attack_mix", mix)

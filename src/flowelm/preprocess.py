@@ -203,7 +203,9 @@ def select_features(data: FlowDataset, threshold: float = 0.02) -> FeatureSelect
     """Keep columns whose |Pearson correlation with the label| >= threshold.
 
     Constant (zero-variance) columns get correlation 0 and are always
-    dropped; they would break the scaler downstream.
+    dropped; they would break the scaler downstream. A column whose
+    standard deviation or covariance with the label overflows raises
+    DataError naming it.
     """
     if data.n_samples < 2:
         raise DataError("feature selection needs at least 2 rows")
@@ -227,11 +229,20 @@ def select_features(data: FlowDataset, threshold: float = 0.02) -> FeatureSelect
 
     sx = np.empty(m)
     cov = np.empty(m)
-    for a, b in blocks:
-        xc = x[:, a:b] - x[:, a:b].mean(axis=0)
-        sx[a:b] = np.sqrt(np.einsum("ij,ij->j", xc, xc) / n)
-        xc *= yc[:, None]
-        cov[a:b] = xc.mean(axis=0)
+    # a column near the float maximum overflows here; it fails below, not
+    # with a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in blocks:
+            xc = x[:, a:b] - x[:, a:b].mean(axis=0)
+            sx[a:b] = np.sqrt(np.einsum("ij,ij->j", xc, xc) / n)
+            xc *= yc[:, None]
+            cov[a:b] = xc.mean(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(sx) & np.isfinite(cov)))
+    if overflowed.size:
+        raise DataError(
+            f"column {data.feature_names[overflowed[0]]!r} overflows: its standard deviation"
+            " or covariance with the label is not finite"
+        )
 
     corr = np.zeros(m)
     valid = (sx > 0) & (sy > 0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import cli_env
 from flowelm import cli as cli_mod
 from flowelm import dataio, model_select, preprocess
 from flowelm import elm as elm_mod
-from flowelm.cli import format_report, prepare
+from flowelm.cli import format_report
 from flowelm.elm import Activation
 from flowelm.metrics import ConfusionMatrix, EvalReport
 
@@ -118,27 +119,41 @@ class TestGrid:
         )
         assert result.returncode == 1
 
-    def test_leaderboard_echoes_module_level_cv(self, cli, small_synth_csv, tmp_path):
-        result = cli(
+    def test_leaderboard_echoes_module_level_cv(self, small_synth_csv, tmp_path, monkeypatch, capsys):
+        searched = []  # the training rows the grid search is given
+        real_search = model_select.grid_search
+
+        def spy_search(data, spec):
+            searched.append(data)
+            return real_search(data, spec)
+
+        monkeypatch.setattr(cli_mod.model_select, "grid_search", spy_search)
+        returncode = cli_mod.main([
             "grid", "--input", str(small_synth_csv), "--model", str(tmp_path / "g"),
             "--hidden", "8,32", "--activation", "tanh", "--folds", "3", "--seed", "6",
-        )
-        assert result.returncode == 0, result.stderr
+        ])
+        assert returncode == 0
         printed = {}
-        for row in result.stdout.splitlines():
+        for row in capsys.readouterr().out.splitlines():
             row = row.strip()
             if row.startswith("hidden="):
                 hidden = int(row.split("hidden=")[1].split()[0])
                 printed[hidden] = float(row.split("mean=")[1].split()[0])
 
+        # the training side, built here without the command: split, then the selected columns
         args = cli_mod.build_parser().parse_args(
             ["grid", "--input", str(small_synth_csv), "--model", str(tmp_path / "g"), "--seed", "6"]
         )
         data = preprocess.clean(dataio.load_csv(small_synth_csv))
-        prepared = prepare(data, args.corr_threshold, args.train_fraction, args.seed, args.leak_free)
+        train_rows, _ = preprocess.split_indices(data.labels, args.train_fraction, args.seed)
+        selection = preprocess.select_features(data, args.corr_threshold)
+        train = data.subset_rows(train_rows, selection.kept_indices)
+        (given,) = searched
+        np.testing.assert_array_equal(given.features, train.features)
+        np.testing.assert_array_equal(given.labels, train.labels)
         for hidden, shown in printed.items():
             spec = model_select.GridSpec(hidden_nodes=(hidden,), activations=(Activation.TANH,), folds=3, seed=6)
-            (entry,) = model_select.grid_search(prepared.train, spec).entries
+            (entry,) = real_search(train, spec).entries
             assert abs(entry.mean - shown) < 5e-5  # stdout rounds to 4 decimals
 
 
@@ -626,6 +641,23 @@ class TestValueNearTheFloatMaximum:
         assert result.stderr == "flowelm: evaluate: skipped 5 record(s) with a value that overflows when scaled\n"
 
 
+    def test_train_stops_at_select_features_when_a_column_overflows(self, cli, tmp_path):
+        # big's mean and spread overflow: 1e308 in benign rows, 1.7e308 in attack rows
+        rs = np.random.RandomState(0)
+        lines = ["a,b,big,Label"]
+        for i in range(400):
+            attack = i % 2
+            lines.append(f"{rs.randn()!r},{rs.randn()!r},{'1.7e308' if attack else '1e308'},"
+                         f"{'DDoS' if attack else 'Benign'}")
+        data, model = tmp_path / "big.csv", tmp_path / "m.flowelm"
+        data.write_text("\n".join(lines) + "\n")
+        result = cli("train", "--input", str(data), "--model", str(model))
+        assert result.returncode == 2
+        assert result.stderr == ("flowelm: select-features: column 'big' overflows: its standard"
+                                 " deviation or covariance with the label is not finite\n")
+        assert not model.exists()
+
+
 class TestOneFailClosedPath:
     """evaluate and score leave out the same rows, for the same reasons, and
     score the rest from the same model input."""
@@ -841,6 +873,11 @@ class TestSynth:
             "synth", "--out", str(tmp_path / "x.csv"), "--mix", "Recon=0.4,DoS=0.4"
         )
         assert result.returncode == 1
+        for mix in ("DDoS=nan", "DDoS=nan,DoS=1"):  # a NaN weight passes the sum check
+            result = cli("synth", "--out", str(tmp_path / "x.csv"), "--mix", mix)
+            assert result.returncode == 1
+            assert result.stderr.startswith("flowelm: synth: invalid attack mix: ")
+            assert not (tmp_path / "x.csv").exists()
 
     def test_mix_all_recon(self, cli, tmp_path):
         path = tmp_path / "recon.csv"
@@ -852,8 +889,37 @@ class TestSynth:
         assert set(labels) == {"Benign", "Recon"}
 
 
+def _marker_rows(tmp_path, monkeypatch, features, labels, *flags):
+    """Train on columns (sig, marker), where marker holds row ids; return
+    the ids feature selection saw and the ids of the training rows."""
+    path = tmp_path / "marked.csv"
+    data = preprocess.FlowDataset(features=features, labels=labels, feature_names=("sig", "marker"))
+    dataio.write_csv(data, path)
+    seen = {}
+    real_select, real_fit_scaler = preprocess.select_features, preprocess.fit_scaler
+
+    def spy_select(ds, threshold):
+        seen["selection_rows"] = set(ds.features[:, 1].astype(int))
+        seen["selection"] = real_select(ds, threshold)
+        return seen["selection"]
+
+    def spy_fit_scaler(train_features):
+        marker_col = seen["selection"].kept_indices.index(1)
+        seen["train_rows"] = set(train_features[:, marker_col].astype(int))
+        return real_fit_scaler(train_features)
+
+    monkeypatch.setattr(cli_mod.preprocess, "select_features", spy_select)
+    monkeypatch.setattr(cli_mod.preprocess, "fit_scaler", spy_fit_scaler)
+    returncode = cli_mod.main([
+        "train", "--input", str(path), "--model", str(tmp_path / "m"), "--hidden", "8",
+        "--corr-threshold", "0", "--train-fraction", "0.8", *flags,
+    ])
+    assert returncode == 0
+    return seen["selection_rows"], seen["train_rows"]
+
+
 class TestLeakFreePipeline:
-    def test_leak_free_selection_sees_only_training_rows(self, monkeypatch):
+    def test_leak_free_selection_sees_only_training_rows(self, tmp_path, monkeypatch):
         """With the leak-free flag, feature selection never reads test rows;
         the marker column identifies which rows it saw."""
         rs = np.random.RandomState(0)
@@ -863,48 +929,53 @@ class TestLeakFreePipeline:
         )
         labels = np.array([0, 1] * (n // 2))
         features[:, 0] += labels * 4.0
-        data = preprocess.FlowDataset(
-            features=features, labels=labels, feature_names=("sig", "marker")
+
+        selection_rows, train_rows = _marker_rows(
+            tmp_path, monkeypatch, features, labels, "--seed", "12", "--leak-free"
         )
-
-        seen = {}
-        real_select = preprocess.select_features
-
-        def spy_select(ds, threshold):
-            seen["selection_rows"] = set(ds.features[:, 1].astype(int))
-            return real_select(ds, threshold)
-
-        from flowelm import cli as cli_module
-
-        monkeypatch.setattr(cli_module.preprocess, "select_features", spy_select)
-
-        prepared = prepare(data, corr_threshold=0.0, train_fraction=0.8, seed=12, leak_free=True)
-        marker_col = prepared.train.feature_names.index("marker")
-        train_rows = set(prepared.train.features[:, marker_col].astype(int))
-        assert seen["selection_rows"] == train_rows
+        assert selection_rows == train_rows
         assert len(train_rows) < n
 
-    def test_default_mode_selection_sees_all_rows(self, monkeypatch):
+    def test_default_mode_selection_sees_all_rows(self, tmp_path, monkeypatch):
         rs = np.random.RandomState(1)
         n = 40
         features = np.column_stack([rs.randn(n), np.arange(n, dtype=float)])
         labels = np.array([0, 1] * (n // 2))
         features[:, 0] += labels * 4.0
-        data = preprocess.FlowDataset(
-            features=features, labels=labels, feature_names=("sig", "marker")
+        selection_rows, _ = _marker_rows(tmp_path, monkeypatch, features, labels, "--seed", "3")
+        assert selection_rows == set(range(n))
+
+
+class TestTrainingRowsGoBeforeTheFit:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--hidden", "8"]),
+        ("grid", ["--hidden", "8", "--activation", "tanh", "--folds", "2"]),
+    ])
+    def test_unscaled_training_rows_are_freed(self, small_synth_csv, tmp_path, monkeypatch, command, flags):
+        """Only the scaled copy of the training rows is alive while the
+        model is fitted."""
+        calls = []  # ("fit_scaler", weak reference to its input) or ("fit", whether that input is freed)
+        real_fit_scaler, real_fit = preprocess.fit_scaler, elm_mod.fit
+
+        def spy_fit_scaler(train_features):
+            calls.append(("fit_scaler", weakref.ref(train_features)))
+            return real_fit_scaler(train_features)
+
+        def spy_fit(x, y, params):
+            given = [ref for name, ref in calls if name == "fit_scaler"]
+            calls.append(("fit", bool(given) and given[-1]() is None))
+            return real_fit(x, y, params)
+
+        monkeypatch.setattr(cli_mod.preprocess, "fit_scaler", spy_fit_scaler)
+        monkeypatch.setattr(cli_mod.elm_mod, "fit", spy_fit)
+        returncode = cli_mod.main(
+            [command, "--input", str(small_synth_csv), "--model", str(tmp_path / "m"), *flags]
         )
-        seen = {}
-        real_select = preprocess.select_features
-
-        def spy_select(ds, threshold):
-            seen["rows"] = set(ds.features[:, 1].astype(int))
-            return real_select(ds, threshold)
-
-        from flowelm import cli as cli_module
-
-        monkeypatch.setattr(cli_module.preprocess, "select_features", spy_select)
-        prepare(data, corr_threshold=0.0, train_fraction=0.8, seed=3, leak_free=False)
-        assert seen["rows"] == set(range(n))
+        assert returncode == 0
+        # whatever a grid's folds do, the pipeline's own two calls come last:
+        # it scales the training rows, then fits the model once
+        (first, _), (second, freed) = calls[-2:]
+        assert (first, second, freed) == ("fit_scaler", "fit", True)
 
 
 class TestConfigFile:

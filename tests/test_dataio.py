@@ -621,6 +621,9 @@ class TestSynthetic:
             SyntheticSpec(attack_mix={"Recon": 1.5, "DoS": -0.5})
         with pytest.raises(DataError):
             SyntheticSpec(attack_mix={"Recon": 0.5, "Martians": 0.5})
+        for mix in ({"DDoS": math.nan}, {"DDoS": math.nan, "DoS": 1.0}):  # NaN passes the sum check
+            with pytest.raises(DataError, match="finite and non-negative"):
+                SyntheticSpec(attack_mix=mix)
 
     def test_single_class_generation_allowed(self):
         ds = dataio.generate_synthetic(SyntheticSpec(n_benign=0, n_attack=10, seed=2))

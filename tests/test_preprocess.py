@@ -278,6 +278,14 @@ class TestSelectFeatures:
         with pytest.raises(DataError, match="finite"):
             preprocess.select_features(dataset(features, [0, 1, 0, 1]), 0.0)
 
+    @pytest.mark.parametrize("column", [[1e308, 1.7e308] * 3, [1e200, -1e200] * 3], ids=["mean", "spread"])
+    def test_column_that_overflows_is_named(self, column):
+        # no numpy warning either: the suite raises warnings as errors
+        features = np.column_stack([[0.0, 1.0] * 3, column])
+        ds = dataset(features, [0, 1] * 3, names=("ok", "big"))
+        with pytest.raises(DataError, match="^column 'big' overflows: "):
+            preprocess.select_features(ds, 0.0)
+
     def test_threshold_monotone(self):
         rs = np.random.RandomState(1)
         features = rs.randn(60, 5)
