@@ -8,6 +8,7 @@ byte-identical artifacts and reports. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import array
 import math
 import os
 import sys
@@ -164,7 +165,8 @@ def _train_pipeline(args, choose_params) -> int:
     """schema, load, clean, split, select features, choose the ELM
     parameters, fit the scaler and the model, report on the held-out rows,
     save. `choose_params` maps the training rows (selected columns,
-    unscaled) to the ElmParams to fit. Each array goes as soon as the next
+    unscaled) to the ElmParams to fit; it must not keep them, as they are
+    scaled in place once it returns. Each array goes as soon as the next
     stage is done with it."""
     schema = _stage("schema", _schema_from_args, args)
     data = _stage("clean", preprocess.clean, _stage("load", dataio.load_csv, args.input, schema))
@@ -177,15 +179,22 @@ def _train_pipeline(args, choose_params) -> int:
         data.subset_rows(train_rows) if args.leak_free else data,
         args.corr_threshold,
     )
-    # only the selected columns, so no full-width copy of the training side is made
-    train = data.subset_rows(train_rows, selection.kept_indices)
+    # The training side, of the selected columns only, in one fancy index: a
+    # plain array that the search sees through a read-only dataset, then
+    # scaled in place, so no other copy of it is made.
+    kept = list(selection.kept_indices)
+    x_train, y_train = data.features[train_rows[:, None], kept], data.labels[train_rows]
+    kept_names = tuple(data.feature_names[i] for i in kept)
+    train = preprocess.FlowDataset._adopt(x_train.view(), labels=y_train, feature_names=kept_names,
+                                          source=data.source)
     test = data.subset_rows(test_rows)  # all ingested columns; the artifact selects
     feature_names, fingerprint, source = data.feature_names, dataio.fingerprint(data), data.source
     del data, train_rows, test_rows  # the cleaned rows go before the search and the fit
     params = choose_params(train)
-    scaler = _stage("fit-scaler", preprocess.fit_scaler, train.features)
-    x_train, y_train = preprocess.apply_scaler(scaler, train.features), train.labels
-    del train  # the unscaled training rows go before the fit
+    del train  # the search's read-only view of the rows scaled in place below
+    scaler = _stage("fit-scaler", preprocess.fit_scaler, x_train, kept_names)
+    x_train -= scaler.means  # apply_scaler's operations, in place: the same bits
+    x_train /= scaler.stds
     model = _stage("train", elm_mod.fit, x_train, y_train, params)
     del x_train  # before the held-out rows are scored
     artifact = dataio.ModelArtifact(
@@ -310,11 +319,11 @@ def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int, dropped):
         return "unknown category value"
 
 
-def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) -> tuple[str, int]:
-    """The verdict lines of (ordinal, row or ERROR reason) records, the rows
+def _verdict_lines(artifact: dataio.ModelArtifact, records, rows, threshold: float) -> tuple[str, int]:
+    """The verdict lines of (ordinal, ERROR reason or None) records, where
+    the records with None have the decoded `rows` (flat, in order), the rows
     that the artifact's transform lets through scored in one model
     evaluation, and how many lines are ERROR."""
-    rows = [row for _, row in records if not isinstance(row, str)]
     outcomes = []  # per decoded row: its score, or the reason it gets ERROR
     if rows:
         x, scored, finite = artifact.transform(rows)
@@ -328,7 +337,7 @@ def _verdict_lines(artifact: dataio.ModelArtifact, records, threshold: float) ->
     lines = []
     errors = 0
     for ordinal, row in records:
-        if not isinstance(row, str):
+        if row is None:
             row = next(outcomes)
         if isinstance(row, str):
             lines.append(f"{ordinal},ERROR,{row}\n")
@@ -342,27 +351,46 @@ def cmd_score(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
     columns = list(artifact.layout.columns)
     stream = sys.stdin.buffer if args.input == "-" else _stage("score", open, args.input, "rb")
+    delimiter = artifact.schema.delimiter
     n_cells, dropped = len(columns), ()  # a headerless stream's cells are all feature cells
+    parse = None  # the block parser, once the first line has been read
     ordinal = errors = 0
     first = True
     try:
         for lines in _line_blocks(stream):
-            records = []
-            for line in lines:
-                cells = dataio.record_cells(line, artifact.schema.delimiter)
-                if cells == []:
-                    continue  # blank line
-                if first:
-                    first = False
-                    header = [] if isinstance(cells, str) else [cell.strip() for cell in cells]
-                    header_dropped = artifact.schema.dropped_positions(header)
-                    if dataio._feature_cells(header, header_dropped) == columns:  # load_csv's header test
-                        n_cells, dropped = len(cells), header_dropped
-                        continue
-                records.append((ordinal, _record_row(artifact, cells, n_cells, dropped)))
-                ordinal += 1
+            records = []  # (ordinal, ERROR reason, or None for a decoded row)
+            rows = array.array("d")  # the decoded rows, flat
+            for start in range(0, len(lines), dataio._BLOCK_LINES):
+                block = lines[start : start + dataio._BLOCK_LINES]
+                parsed = None if parse is None else parse(b"\n".join(block))
+                if parsed is not None:
+                    n = len(parsed[0])
+                    rows.frombytes(parsed[0].tobytes())
+                    records += [(i, None) for i in range(ordinal, ordinal + n)]
+                    ordinal += n
+                    continue
+                for line in block:
+                    cells = dataio.record_cells(line, delimiter)
+                    if cells == []:
+                        continue  # blank line
+                    if first:
+                        first = False
+                        header = [] if isinstance(cells, str) else [cell.strip() for cell in cells]
+                        header_dropped = artifact.schema.dropped_positions(header)
+                        is_header = dataio._feature_cells(header, header_dropped) == columns  # load_csv's test
+                        if is_header:
+                            n_cells, dropped = len(cells), header_dropped
+                        parse = dataio._block_parser(artifact.layout, n_cells, dropped, delimiter)
+                        if is_header:
+                            continue
+                    row = _record_row(artifact, cells, n_cells, dropped)
+                    if not isinstance(row, str):
+                        rows.extend(row)
+                        row = None
+                    records.append((ordinal, row))
+                    ordinal += 1
             if records:
-                lines, n_errors = _verdict_lines(artifact, records, args.threshold)
+                lines, n_errors = _verdict_lines(artifact, records, rows, args.threshold)
                 errors += n_errors
                 sys.stdout.write(lines)
                 sys.stdout.flush()

@@ -163,6 +163,93 @@ class RecordLayout:
         return row
 
 
+# Lines per block that load_csv and score hand to one np.loadtxt call. A
+# block that falls back (see _block_parser) is decoded per record, so the
+# size changes no result, only the time: every bad cell sends its whole
+# block down the per-record path, and each call has a fixed cost.
+_BLOCK_LINES = 64
+# Fewer non-blank lines than this are decoded per record, which costs less
+# below it: one 14-cell line took 4-6 us that way against 9 us in the call,
+# four lines 15 us against 12 us.
+_BLOCK_MIN_LINES = 4
+# Characters in a block's label field. A label that fills it may have been
+# cut short, so its block is decoded per record.
+_LABEL_WIDTH = 64
+
+
+def _block_parser(layout: RecordLayout, n_cells: int, dropped, delimiter: str, label_pos=None):
+    """The block parser of an all-numeric layout's records, or None for a
+    layout with a categorical column (or no column), whose records are
+    decoded one at a time.
+
+    parse(text) reads `text`, UTF-8 lines separated by "\\n", in one
+    np.loadtxt call; a line is blank when it is "" or "\\r", as for
+    csv.reader. Its structured dtype has a float per feature cell and a
+    string per label or excluded cell, so the C reader converts the cells
+    and rejects a line with the wrong cell count. It returns the block's
+    feature rows and, with a label position, their stripped labels, or None
+    when the block must be decoded per record (csv.reader, then
+    RecordLayout.decode), the only source of errors: when it has fewer than
+    _BLOCK_MIN_LINES non-blank lines (so no empty block, on which
+    np.loadtxt warns, reaches the call); when the text holds a quote (a
+    quoted cell may hold the delimiter or a line break), a NUL (a string
+    field drops a trailing one) or a line as long as csv's field limit, or
+    is not UTF-8; when the call raises (as it does for a carriage return
+    inside a line) or gives other than a row per non-blank line; and when
+    a label is empty or fills its field. No cell that np.loadtxt accepts
+    reads differently in float().
+    """
+    if not (layout._numeric and layout.columns):
+        return None
+    m = len(layout.columns)
+    names, formats, offsets = [], [], []
+    floats, itemsize = 0, 8 * m  # the floats first, so the feature cells are one run per row
+    for p in range(n_cells):
+        names.append(f"c{p}")
+        if p in dropped:
+            string = np.dtype(f"U{_LABEL_WIDTH if p == label_pos else 1}")  # an excluded cell is never read
+            formats.append(string)
+            offsets.append(itemsize)
+            itemsize += string.itemsize
+        else:
+            formats.append(np.float64)
+            offsets.append(floats)
+            floats += 8
+    dtype = np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": itemsize})
+    features = np.dtype({"names": ["x"], "formats": [(np.float64, (m,))], "offsets": [0], "itemsize": itemsize})
+
+    def parse(text: bytes):
+        # the line count bounds the non-blank lines: a trickle's one-line
+        # read goes to the per-record path before any other work
+        if text.count(b"\n") + 1 < _BLOCK_MIN_LINES or b'"' in text or b"\0" in text:
+            return None
+        limit = csv.field_size_limit()
+        if len(text) >= limit and max(map(len, text.split(b"\n"))) >= limit:
+            return None
+        try:
+            lines = text.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            return None
+        n = len(lines) - lines.count("") - lines.count("\r")  # the reader skips these blank lines too
+        if n < _BLOCK_MIN_LINES:
+            return None
+        try:
+            block = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            return None
+        if len(block) != n:  # the reader skipped or split a line
+            return None
+        labels = []
+        if label_pos is not None:
+            cells = block[f"c{label_pos}"].tolist()
+            labels = list(map(str.strip, cells))
+            if not all(labels) or max(map(len, cells)) == _LABEL_WIDTH:
+                return None
+        return block.view(features)["x"], labels
+
+    return parse
+
+
 def record_cells(line: bytes, delimiter: str) -> list[str] | str:
     """The cells of one record line, by the CSV rules load_csv reads files
     with; [] for a blank line, or the reason a line cannot be read."""
@@ -176,18 +263,19 @@ def record_cells(line: bytes, delimiter: str) -> list[str] | str:
         return "not a UTF-8 CSV record"
 
 
-def _read_rows(fh, path, delimiter):
-    """Yield (line number, cells) for each non-blank row of a UTF-8 CSV file
-    open in binary mode, from its current position."""
-    reader = csv.reader((line.decode("utf-8") for line in fh), delimiter=delimiter)
+def _read_rows(lines, path, delimiter, before: int = 0):
+    """Yield (line number, cells) for each non-blank row of UTF-8 CSV lines
+    (bytes: a file open in binary mode, from its current position, or a
+    list), numbered from line `before` + 1."""
+    reader = csv.reader((line.decode("utf-8") for line in lines), delimiter=delimiter)
     try:
         for row in reader:
             if row:
-                yield reader.line_num, row
+                yield before + reader.line_num, row
     except UnicodeDecodeError:
-        raise ParseError(f"{path}:{reader.line_num + 1}: not UTF-8 text") from None
+        raise ParseError(f"{path}:{before + reader.line_num + 1}: not UTF-8 text") from None
     except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ParseError(f"{path}:{before + reader.line_num}: {exc}") from None
 
 
 def _infer_layout(rows, n_cells, dropped, columns) -> RecordLayout:
@@ -223,10 +311,14 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
     which the file is rewound for the decoding pass, so it must be seekable.
     With one (a model's), the header's feature columns must match it, and a
     row with an unknown category value becomes a row of NaN markers.
+
+    An all-numeric layout's rows are parsed _BLOCK_LINES lines at a time
+    (see _block_parser); a block that falls back is decoded per record, and
+    from the first block that holds a quote on, the rest of the file is.
     """
     with open(path, "rb") as fh:
         rows = _read_rows(fh, path, schema.delimiter)
-        _, header = next(rows, (0, None))
+        line_no, header = next(rows, (0, None))
         if header is None:
             raise DataError(f"{path}: file is empty")
         header = [h.strip() for h in header]
@@ -259,17 +351,37 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
         benign = schema.benign_value.strip().lower()
         values = array.array("d")
         labels = bytearray()
-        for line_no, row in rows:
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-            label = row[label_pos].strip()
-            if not label:
-                raise ParseError(f"{path}:{line_no}: empty traffic category")
-            try:
-                values.extend(layout.decode(_feature_cells(row, dropped)))
-            except ParseError:
-                values.extend(missing)
-            labels.append(label.lower() != benign)
+
+        def decode_rows(rows):
+            for line_no, row in rows:
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+                label = row[label_pos].strip()
+                if not label:
+                    raise ParseError(f"{path}:{line_no}: empty traffic category")
+                try:
+                    values.extend(layout.decode(_feature_cells(row, dropped)))
+                except ParseError:
+                    values.extend(missing)
+                labels.append(label.lower() != benign)
+
+        parse = _block_parser(layout, len(header), dropped, schema.delimiter, label_pos)
+        if parse is None:
+            decode_rows(rows)
+        else:  # `rows` has read no further than the header, so the blocks start after it
+            while lines := [line for _, line in zip(range(_BLOCK_LINES), fh)]:
+                text = b"".join(lines)
+                block = parse(text)
+                if block is not None:
+                    values.frombytes(block[0].tobytes())
+                    labels.extend(map(benign.__ne__, map(str.lower, block[1])))
+                elif b'"' in text:  # a quoted cell may hold a line break: csv.reader reads the rest
+                    decode_rows(_read_rows((line for part in (lines, fh) for line in part),
+                                           path, schema.delimiter, line_no))
+                    break
+                else:
+                    decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
+                line_no += len(lines)
     if not labels:
         raise DataError(f"{path}: no data rows")
     return FlowDataset._adopt(
@@ -353,7 +465,8 @@ class ModelArtifact:
         object.__setattr__(self, "_limit", limit)
 
     def transform(self, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Model input from decoded rows, failing closed: (x, rows, finite).
+        """Model input from decoded rows (2-D, or end to end in a flat
+        buffer), failing closed: (x, rows, finite).
 
         `finite` marks, per decoded row, that every decoded column is finite,
         those the model dropped included. `x` holds the kept columns of the
@@ -363,6 +476,8 @@ class ModelArtifact:
         rows in `x`. A row not in `rows` is never scored.
         """
         features = np.asarray(features, dtype=np.float64)
+        if features.ndim == 1:  # decoded rows end to end, as score gathers them
+            features = features.reshape(-1, len(self.feature_names))
         finite = np.isfinite(features).all(axis=1)
         rows = np.flatnonzero(finite)
         x = features[rows[:, None], self._kept]

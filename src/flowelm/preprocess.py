@@ -280,7 +280,9 @@ class ScalerState:
         object.__setattr__(self, "stds", stds)
 
 
-def fit_scaler(train_features) -> ScalerState:
+def fit_scaler(train_features, names=None) -> ScalerState:
+    """The z-score scaler of the training rows. A column with zero variance
+    is a DataError that names it, by `names` if given, else by position."""
     arr = np.asarray(train_features, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError("scaler input must be 2-D")
@@ -292,9 +294,8 @@ def fit_scaler(train_features) -> ScalerState:
     stds = arr.std(axis=0)
     zero = np.where(stds == 0)[0]
     if zero.size:
-        raise DataError(
-            f"column {zero[0]} has zero variance; drop constant columns before scaling"
-        )
+        column = zero[0] if names is None else repr(names[zero[0]])
+        raise DataError(f"column {column} has zero variance; drop constant columns before scaling")
     return ScalerState(means=means, stds=stds)
 
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import weakref
+import types
 
 import numpy as np
 import pytest
@@ -120,11 +120,11 @@ class TestGrid:
         assert result.returncode == 1
 
     def test_leaderboard_echoes_module_level_cv(self, small_synth_csv, tmp_path, monkeypatch, capsys):
-        searched = []  # the training rows the grid search is given
+        searched = []  # the training rows the grid search is given, copied as it is called
         real_search = model_select.grid_search
 
-        def spy_search(data, spec):
-            searched.append(data)
+        def spy_search(data, spec):  # the pipeline scales those rows in place once it returns
+            searched.append((data.features.copy(), data.labels.copy()))
             return real_search(data, spec)
 
         monkeypatch.setattr(cli_mod.model_select, "grid_search", spy_search)
@@ -148,9 +148,9 @@ class TestGrid:
         train_rows, _ = preprocess.split_indices(data.labels, args.train_fraction, args.seed)
         selection = preprocess.select_features(data, args.corr_threshold)
         train = data.subset_rows(train_rows, selection.kept_indices)
-        (given,) = searched
-        np.testing.assert_array_equal(given.features, train.features)
-        np.testing.assert_array_equal(given.labels, train.labels)
+        ((given_features, given_labels),) = searched
+        np.testing.assert_array_equal(given_features, train.features)
+        np.testing.assert_array_equal(given_labels, train.labels)
         for hidden, shown in printed.items():
             spec = model_select.GridSpec(hidden_nodes=(hidden,), activations=(Activation.TANH,), folds=3, seed=6)
             (entry,) = real_search(train, spec).entries
@@ -405,6 +405,52 @@ class TestScore:
         assert out[1][1:] == ["ERROR", "field longer than the csv field limit of 131072 characters"]
         assert out[2][1] != "ERROR"
 
+    def test_oversized_numeric_field_in_a_later_block_gets_its_own_reason(self, cli, trained, small_synth_csv,
+                                                                         tmp_path):
+        lines = small_synth_csv.read_bytes().splitlines()[:101]
+        cells = lines[90].split(b",")
+        cells[0] = b"9" * 200_000  # a float to np.loadtxt
+        lines[90] = b",".join(cells)
+        path = tmp_path / "huge.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = cli("score", "--model", str(trained), "--input", str(path))
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert len(out) == 100
+        assert out[89] == "89,ERROR,field longer than the csv field limit of 131072 characters"
+        assert [line for line in out if ",ERROR," in line] == [out[89]]
+
+    def test_verdicts_from_a_file_equal_those_of_one_line_per_read(self, trained, small_synth_csv, tmp_path,
+                                                                  monkeypatch, capsys):
+        """Block boundaries never show: malformed and non-finite records,
+        first and last in a block or alone in a read, get the same verdict
+        bytes."""
+        lines = small_synth_csv.read_bytes().splitlines()[:301]
+        for i, edit in [(1, lambda c: [b"garbage"]), (64, lambda c: [b"nan"] + c[1:]), (65, lambda c: c[:-1]),
+                        (128, lambda c: [b"caf\xe9"] + c[1:]), (129, lambda c: [b'"1.5"'] + c[1:]),
+                        (192, lambda c: [b"inf"] + c[1:]), (193, lambda c: [b""] + c[1:]),
+                        (250, lambda c: [b"1_000"] + c[1:]), (300, lambda c: [b"-inf"] + c[1:])]:
+            lines[i] = b",".join(edit(lines[i].split(b",")))
+        lines[100] += b"\r"  # a CRLF record
+        lines.insert(150, b"")  # a blank line gets no verdict
+        data = b"\n".join(lines) + b"\n"
+        path = tmp_path / "records.csv"
+        path.write_bytes(data)
+        assert cli_mod.main(["score", "--model", str(trained), "--input", str(path)]) == 0
+        from_file = capsys.readouterr()
+        assert from_file.out.count(",ERROR,") == 7 and len(from_file.out.splitlines()) == 300
+
+        class OneLinePerRead:
+            def __init__(self):
+                self.lines = data.splitlines(keepends=True)
+
+            def read1(self, size):
+                return self.lines.pop(0) if self.lines else b""
+
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=OneLinePerRead()))
+        assert cli_mod.main(["score", "--model", str(trained)]) == 0
+        assert capsys.readouterr() == from_file
+
     def test_error_verdict_arrives_while_stdin_stays_open(self, trained):
         # stdout is a pipe and PYTHONUNBUFFERED is unset, as for a real consumer
         proc = subprocess.Popen(
@@ -657,6 +703,23 @@ class TestValueNearTheFloatMaximum:
                                  " deviation or covariance with the label is not finite\n")
         assert not model.exists()
 
+    def test_train_names_a_column_that_is_constant_on_the_training_rows(self, cli, tmp_path):
+        # spike is 0 but in one attack row, which seed 6 deals to the held-out
+        # side; selection on every row keeps it, and the scaler finds it constant
+        rs = np.random.RandomState(0)
+        lines = ["a,b,spike,Label"]
+        for i in range(400):
+            attack = i % 2
+            lines.append(f"{rs.randn() + 2 * attack!r},{rs.randn()!r},{1 if i == 201 else 0},"
+                         f"{'DDoS' if attack else 'Benign'}")
+        data, model = tmp_path / "spike.csv", tmp_path / "m.flowelm"
+        data.write_text("\n".join(lines) + "\n")
+        result = cli("train", "--input", str(data), "--model", str(model), "--hidden", "8", "--seed", "6")
+        assert result.returncode == 2
+        assert result.stderr == ("flowelm: fit-scaler: column 'spike' has zero variance;"
+                                 " drop constant columns before scaling\n")
+        assert not model.exists()
+
 
 class TestOneFailClosedPath:
     """evaluate and score leave out the same rows, for the same reasons, and
@@ -903,10 +966,10 @@ def _marker_rows(tmp_path, monkeypatch, features, labels, *flags):
         seen["selection"] = real_select(ds, threshold)
         return seen["selection"]
 
-    def spy_fit_scaler(train_features):
+    def spy_fit_scaler(train_features, *names):
         marker_col = seen["selection"].kept_indices.index(1)
         seen["train_rows"] = set(train_features[:, marker_col].astype(int))
-        return real_fit_scaler(train_features)
+        return real_fit_scaler(train_features, *names)
 
     monkeypatch.setattr(cli_mod.preprocess, "select_features", spy_select)
     monkeypatch.setattr(cli_mod.preprocess, "fit_scaler", spy_fit_scaler)
@@ -946,24 +1009,25 @@ class TestLeakFreePipeline:
         assert selection_rows == set(range(n))
 
 
-class TestTrainingRowsGoBeforeTheFit:
+class TestTrainingRowsScaledInPlace:
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--hidden", "8"]),
         ("grid", ["--hidden", "8", "--activation", "tanh", "--folds", "2"]),
     ])
-    def test_unscaled_training_rows_are_freed(self, small_synth_csv, tmp_path, monkeypatch, command, flags):
-        """Only the scaled copy of the training rows is alive while the
-        model is fitted."""
-        calls = []  # ("fit_scaler", weak reference to its input) or ("fit", whether that input is freed)
+    def test_model_is_fitted_on_the_array_the_scaler_measured(self, small_synth_csv, tmp_path, monkeypatch,
+                                                               command, flags):
+        """The training rows are scaled in place, with apply_scaler's bits:
+        the model is fitted on the very array fit_scaler measured, so no
+        second copy of them is made."""
+        calls = []  # ("fit_scaler", its input, a copy of it) or ("fit", its input)
         real_fit_scaler, real_fit = preprocess.fit_scaler, elm_mod.fit
 
-        def spy_fit_scaler(train_features):
-            calls.append(("fit_scaler", weakref.ref(train_features)))
-            return real_fit_scaler(train_features)
+        def spy_fit_scaler(train_features, *names):
+            calls.append(("fit_scaler", train_features, np.array(train_features)))
+            return real_fit_scaler(train_features, *names)
 
         def spy_fit(x, y, params):
-            given = [ref for name, ref in calls if name == "fit_scaler"]
-            calls.append(("fit", bool(given) and given[-1]() is None))
+            calls.append(("fit", x))
             return real_fit(x, y, params)
 
         monkeypatch.setattr(cli_mod.preprocess, "fit_scaler", spy_fit_scaler)
@@ -973,9 +1037,12 @@ class TestTrainingRowsGoBeforeTheFit:
         )
         assert returncode == 0
         # whatever a grid's folds do, the pipeline's own two calls come last:
-        # it scales the training rows, then fits the model once
-        (first, _), (second, freed) = calls[-2:]
-        assert (first, second, freed) == ("fit_scaler", "fit", True)
+        # it measures the training rows, then fits the model once
+        (first, measured, unscaled), (second, fitted) = calls[-2][:3], calls[-1]
+        assert (first, second) == ("fit_scaler", "fit")
+        assert fitted is measured
+        expected = preprocess.apply_scaler(real_fit_scaler(unscaled), unscaled)
+        assert fitted.tobytes() == expected.tobytes()
 
 
 class TestConfigFile:

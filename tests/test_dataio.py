@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowelm import dataio, elm
+from flowelm import cli, dataio, elm
 from flowelm.dataio import CsvSchema, ModelArtifact, RecordLayout, SyntheticSpec
 from flowelm.elm import Activation, ElmParams
 from flowelm.errors import (
@@ -514,6 +519,243 @@ class TestBoundedMemory:
         assert not ds.features.flags.writeable
         # measured 1.18 feature arrays; 2.2 when the array was copied
         assert peak < 1.6 * ds.features.nbytes, f"peak {peak} bytes, features {ds.features.nbytes}"
+
+
+# Cells for the block parser's differential tests: floats as files write
+# them, and text on which np.loadtxt, float() and csv.reader could part ways:
+# empty and blank cells, non-finite literals, syntax only float() accepts,
+# surrounding whitespace, a bare carriage return, and quoted cells (one with
+# a line break).
+BLOCK_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: "%.7g" % x),
+    st.sampled_from([
+        "", " ", "nan", "NaN", "-nan", "+nan", "inf", "-inf", "INF", "Infinity", "-Infinity", "1e400",
+        "-1e400", "1_000", "١٢", "0x1f", ".5", "5.", "+1", " 1.5", "2.5 ", "\t1\t", "\x0c3",
+        "4\xa0", "8\r9", '"1.5"', '"1,5"', '"6\n7"', '""', "x",
+    ]),
+)
+# labels: a benign one with whitespace around it, empty and blank ones, one
+# with a NUL, quoted ones, and ones that fit, fill and overflow the block's
+# label field (the last one is benign if it is cut short)
+BLOCK_LABELS = st.sampled_from(
+    ["Benign", "DDoS", " benign\t", "", "  ", "Benign\x00", '"Benign"', '"DD,oS"', "DD\roS",
+     "a" * (dataio._LABEL_WIDTH - 1), "b" * dataio._LABEL_WIDTH,
+     "Benign" + " " * (dataio._LABEL_WIDTH - 6) + "x"]
+)
+BLOCK_DELIMITERS = st.sampled_from([",", ";", "|", " "])
+
+
+@st.composite
+def record_lines(draw, n_features, label_pos, id_pos, delimiter):
+    """Lines of records (bytes, each ended by "\n" or "\r\n"): plain ones,
+    so that whole blocks parse, ones with odd cells, some with a cell too
+    many or too few, blank or whitespace-only lines, and bytes that are not
+    UTF-8."""
+    odd = ["record", "short", "long", "blank", "latin-1"]
+    kinds = draw(st.sampled_from([["plain"], ["plain"] * 20 + odd, ["plain"] * 4 + odd]))
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])).encode() + b"\n")
+            continue
+        plain = kind == "plain"
+        cells = [draw(st.floats().map(repr) if plain else BLOCK_CELLS) for _ in range(n_features)]
+        if label_pos is not None:
+            cells.insert(label_pos, draw(st.sampled_from(["Benign", "DDoS"]) if plain else BLOCK_LABELS))
+        if id_pos is not None:
+            ids = ["7", "", "id-123456789"] + ([] if plain else ['"a,b"', '"x\ny"'])
+            cells.insert(id_pos, draw(st.sampled_from(ids)))
+        if kind == "short":
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        elif kind == "long":
+            cells.append("1")
+        line = delimiter.join(cells).encode()
+        if kind == "latin-1":
+            line = b"caf\xe9" + line
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r\n"])))
+    return lines
+
+
+@st.composite
+def labeled_files(draw):
+    """(schema, feature columns, file bytes): a header with the label and an
+    excluded id column anywhere among 1-3 feature columns, then records."""
+    n_features = draw(st.integers(1, 3))
+    names = [f"f{j}" for j in range(n_features)]
+    label_pos = draw(st.integers(0, n_features))
+    names.insert(label_pos, "Label")
+    id_pos = draw(st.integers(0, n_features + 1))
+    names.insert(id_pos, "id")
+    label_pos += id_pos <= label_pos
+    delimiter = draw(BLOCK_DELIMITERS)
+    lines = draw(record_lines(n_features, label_pos, id_pos, delimiter))
+    schema = CsvSchema(delimiter=delimiter, exclude_columns=("id",))
+    return schema, tuple(f"f{j}" for j in range(n_features)), (delimiter.join(names) + "\n").encode() + b"".join(lines)
+
+
+def load_outcome(path, schema, layout):
+    """load_csv's dataset bytes, or its error's type and message."""
+    try:
+        ds = dataio.load_csv(path, schema, layout)
+    except DataError as exc:  # ParseError included
+        return type(exc).__name__, str(exc)
+    return ds.features.tobytes(), ds.labels.tobytes(), ds.feature_names
+
+
+def per_record():
+    """Every record decoded on its own, as before blocks: no block parser."""
+    return mock.patch.object(dataio, "_block_parser", lambda *args, **kwargs: None)
+
+
+class TestBlockParser:
+    """load_csv and score parse blocks of numeric records in np.loadtxt; the
+    result is the per-record decoding's, bit for bit, error for error, and
+    no block size shows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=labeled_files(), given_layout=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]))
+    def test_load_csv_equals_per_record_decoding(self, tmp_path_factory, case, given_layout, block_lines):
+        schema, columns, data = case
+        path = tmp_path_factory.mktemp("blocks") / "data.csv"
+        path.write_bytes(data)
+        layout = RecordLayout(columns, (None,) * len(columns)) if given_layout else None
+        with per_record():
+            expected = load_outcome(path, schema, layout)
+        with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
+            assert load_outcome(path, schema, layout) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(delimiter=BLOCK_DELIMITERS, header=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]),
+           data=st.data())
+    def test_score_equals_per_record_decoding(self, tmp_path_factory, delimiter, header, block_lines, data):
+        directory = tmp_path_factory.mktemp("score")
+        artifact = make_artifact()
+        names = list(artifact.feature_names)
+        artifact = ModelArtifact(
+            model=artifact.model, selection=artifact.selection, scaler=artifact.scaler,
+            schema=CsvSchema(delimiter=delimiter, exclude_columns=("id",)), feature_names=names,
+            seed=artifact.seed,
+        )
+        model = directory / "m.flowelm"
+        dataio.save_model(artifact, model)
+        label_pos = id_pos = None
+        lines = []
+        if header:
+            label_pos = data.draw(st.integers(0, len(names)))
+            names.insert(label_pos, "Label")
+            id_pos = data.draw(st.integers(0, len(names)))
+            names.insert(id_pos, "id")
+            label_pos += id_pos <= label_pos
+            lines.append((delimiter.join(names) + "\n").encode())
+        lines += data.draw(record_lines(len(artifact.feature_names), label_pos, id_pos, delimiter))
+        records = directory / "records.csv"
+        records.write_bytes(b"".join(lines))
+
+        def verdicts():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["score", "--model", str(model), "--input", str(records)])
+            return code, out.getvalue(), err.getvalue()
+
+        with per_record():
+            expected = verdicts()
+        with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
+            assert verdicts() == expected
+
+    @pytest.mark.parametrize("label", [
+        "Benign\x00", '"Benign"', "Benign" + " " * (dataio._LABEL_WIDTH - 6) + "x", " benign\t", "", "a,b",
+    ])
+    def test_label_the_block_cannot_hold_as_csv_reads_it(self, tmp_path, label):
+        """A NUL, quotes, a label that a cut would make benign, and the other
+        labels that send a block down the per-record path."""
+        text = "f1,Label\n" + "".join(f"{i},{'DDoS' if i % 2 else 'Benign'}\n" for i in range(9))
+        path = write(tmp_path, text + f"9,{label}\n")
+        with per_record():
+            expected = load_outcome(path, CsvSchema(), None)
+        assert load_outcome(path, CsvSchema(), None) == expected
+
+    def test_parses_exactly_as_float_does(self):
+        """Random-bit doubles in 17 digits and 7-digit cells: the block path
+        gives float()'s bits."""
+        rs = np.random.RandomState(5)
+        values = rs.randint(0, 2**63, size=(2000, 3), dtype=np.int64).view(np.float64)
+        for fmt in ("%.17g", "%.7g", "%r"):
+            cells = [[fmt % v for v in row] for row in values.tolist()]
+            text = "".join(",".join(row) + ",Benign\n" for row in cells).encode()
+            parse = dataio._block_parser(RecordLayout(("a", "b", "c"), (None,) * 3), 4, [3], ",", 3)
+            rows, labels = parse(text)
+            expected = np.array([[float(c) for c in row] for row in cells])
+            assert rows.tobytes() == expected.tobytes()
+            assert labels == ["Benign"] * len(cells)
+
+    def test_clean_blocks_are_never_decoded_per_record(self, tmp_path):
+        rs = np.random.RandomState(6)
+        text = "a,Label,b\n" + "".join(f"{x!r},{'DDoS' if x > 0 else 'Benign'},{y!r}\r\n" for x, y in rs.randn(300, 2).tolist())
+        path = write(tmp_path, text)
+        with mock.patch.object(RecordLayout, "decode", side_effect=AssertionError("decoded per record")):
+            ds = dataio.load_csv(path, layout=RecordLayout(("a", "b"), (None, None)))
+        assert ds.n_samples == 300
+
+    def test_categorical_layout_has_no_block_parser(self):
+        layout = RecordLayout(("a", "proto"), (None, ("tcp", "udp")))
+        assert dataio._block_parser(layout, 3, [2], ",", 2) is None
+
+    @pytest.mark.parametrize("index", [0, 1, 62, 63, 64, 65, 127, 128, 199])
+    @pytest.mark.parametrize("fault, message", [
+        (b"1,2,Benign,9", "expected 3 cells, got 4"),
+        (b"1,2,", "empty traffic category"),
+        (b"1,2,caf\xe9", "not UTF-8 text"),
+    ])
+    def test_bad_line_anywhere_in_a_block_reports_its_line(self, tmp_path, index, fault, message):
+        lines = [b"f1,f2,Label"] + [b"%d,%d,%s" % (i, -i, b"DDoS" if i % 2 else b"Benign") for i in range(200)]
+        lines[1 + index] = fault
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError) as raised:
+            dataio.load_csv(path)
+        assert str(raised.value) == f"{path}:{index + 2}: {message}"
+
+    def test_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
+        lines = [b"f1,f2,Label"] + [b"%d,1,Benign" % i for i in range(100)]
+        lines[80] = b"9" * 200_000 + b",1,DDoS"  # a float to np.loadtxt
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:81: field larger than field limit"):
+            dataio.load_csv(path)
+
+    def test_a_quoted_line_break_moves_later_line_numbers(self, tmp_path):
+        lines = [b"f1,f2,Label"] + [b"%d,%d,Benign" % (i, i) for i in range(200)]
+        lines[11] = b'"1\n0",2,DDoS'  # a quoted cell holding a line break
+        lines[150] = b"1,2"
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:152: expected 3 cells, got 2$"):
+            dataio.load_csv(path)
+
+    def test_load_csv_bytes_do_not_depend_on_the_block_size(self, tmp_path):
+        """A capture with every kind of cell that falls back, at block sizes
+        1, 7 and the default."""
+        rs = np.random.RandomState(7)
+        odd = ["", "nan", "-inf", "1_000", " 2 ", '"3"', '"4\n5"', "1e400"]
+        lines = ["a,b,c,Label"]
+        for i in range(500):
+            cells = [repr(v) for v in rs.randn(3)]
+            if i % 37 == 0:
+                cells[i % 3] = odd[(i // 37) % len(odd)]
+            lines.append(",".join(cells) + (",DDoS" if i % 3 else ", benign ") + ("\r" if i % 5 == 0 else ""))
+            if i % 41 == 0:
+                lines.append("")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        outcomes = []
+        for size in (1, 7, dataio._BLOCK_LINES):
+            with mock.patch.object(dataio, "_BLOCK_LINES", size):
+                outcomes.append(load_outcome(path, CsvSchema(), None))
+        with per_record():
+            outcomes.append(load_outcome(path, CsvSchema(), None))
+        assert outcomes[0][0].__class__ is bytes
+        assert outcomes == [outcomes[-1]] * 4
 
 
 class TestFingerprint:

@@ -311,6 +311,10 @@ class TestScaler:
         with pytest.raises(DataError, match="column 0"):
             preprocess.fit_scaler(np.array([[5.0], [5.0], [5.0]]))
 
+    def test_zero_variance_errors_with_column_name(self):
+        with pytest.raises(DataError, match="^column 'flat' has zero variance; drop constant columns"):
+            preprocess.fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]), ("rate", "flat"))
+
     @pytest.mark.parametrize("column", [[1.7e308, 1.7e308, 1e308], [1e308, -1e308, 1e308]])
     def test_column_whose_mean_or_std_overflows_errors(self, column):
         with np.errstate(over="ignore", invalid="ignore"):
