@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import dataio, metrics, model_select, preprocess
 from . import elm as elm_mod
 from .elm import Activation, ElmParams
@@ -138,27 +140,44 @@ def _schema_from_args(args, base: dataio.CsvSchema | None = None) -> dataio.CsvS
     )
 
 
-def _evaluate(artifact: dataio.ModelArtifact, data: preprocess.FlowDataset, threshold: float):
-    """Report on the rows of all ingested columns that the artifact's
-    transform lets through; the rows it leaves out are counted on stderr."""
-    x, rows, finite = artifact.transform(data.features)
-    n_finite = int(finite.sum())
-    if n_finite < len(finite):
-        print(f"flowelm: evaluate: skipped {len(finite) - n_finite} record(s) with missing values"
+def _scored(artifact: dataio.ModelArtifact, features):
+    """The artifact's transform of decoded rows, then elm.score on the rows
+    it lets through: (scores, rows, finite), as transform's rows and finite."""
+    x, rows, finite = artifact.transform(features)
+    return elm_mod.score(artifact.model, x), rows, finite
+
+
+def _staged(stage: str, chunks):
+    """Each item of `chunks`, each taken inside the stage."""
+    chunks = iter(chunks)
+    while (chunk := _stage(stage, next, chunks, None)) is not None:
+        yield chunk
+
+
+def _evaluate(artifact: dataio.ModelArtifact, chunks, threshold: float):
+    """Report on the rows of all ingested columns, a (features, labels) chunk
+    at a time, that the artifact's transform lets through; the rows it
+    leaves out are counted on stderr. Each chunk is scored as it comes and
+    only the label bit and score of each scored row are kept."""
+    labels, scores = bytearray(), array.array("d")
+    n_rows = n_finite = 0
+    for features, chunk_labels in chunks:
+        chunk_scores, rows, finite = _stage("evaluate", _scored, artifact, features)
+        n_rows += len(finite)
+        n_finite += int(np.count_nonzero(finite))
+        labels.extend(chunk_labels[rows].astype(np.uint8))
+        scores.frombytes(chunk_scores.view(np.uint8))
+        del features, chunk_labels  # the chunk goes before the next is read
+    if n_finite < n_rows:
+        print(f"flowelm: evaluate: skipped {n_rows - n_finite} record(s) with missing values"
               " or unknown category values", file=sys.stderr)
-    if len(rows) < n_finite:
-        print(f"flowelm: evaluate: skipped {n_finite - len(rows)} record(s) with a value"
+    if len(labels) < n_finite:
+        print(f"flowelm: evaluate: skipped {n_finite - len(labels)} record(s) with a value"
               " that overflows when scaled", file=sys.stderr)
-    if not len(rows):
+    if not labels:
         _fail(EXIT_DATA, "evaluate", "no usable records left after skipping")
-    scored = preprocess.FlowDataset._adopt(
-        x,
-        labels=data.labels[rows],
-        feature_names=tuple(artifact.feature_names[i] for i in artifact.selection.kept_indices),
-        source=data.source,
-    )
-    del data  # a caller that passed its last reference lets the rows go here
-    return _stage("evaluate", metrics.evaluate, artifact.model, scored, threshold)
+    return _stage("evaluate", metrics.evaluate_scores, np.frombuffer(labels, dtype=np.uint8),
+                  np.frombuffer(scores), threshold)
 
 
 def _train_pipeline(args, choose_params) -> int:
@@ -187,7 +206,8 @@ def _train_pipeline(args, choose_params) -> int:
     kept_names = tuple(data.feature_names[i] for i in kept)
     train = preprocess.FlowDataset._adopt(x_train.view(), labels=y_train, feature_names=kept_names,
                                           source=data.source)
-    test = data.subset_rows(test_rows)  # all ingested columns; the artifact selects
+    # the held-out rows of all ingested columns: the artifact selects
+    x_test, y_test = data.features[test_rows], data.labels[test_rows]
     feature_names, fingerprint, source = data.feature_names, dataio.fingerprint(data), data.source
     del data, train_rows, test_rows  # the cleaned rows go before the search and the fit
     params = choose_params(train)
@@ -207,7 +227,9 @@ def _train_pipeline(args, choose_params) -> int:
         fingerprint=fingerprint,
         source=source,
     )
-    report = _evaluate(artifact, test, args.threshold)
+    block = elm_mod._BLOCK_ROWS  # the chunks that evaluate reads
+    report = _evaluate(artifact, ((x_test[i : i + block], y_test[i : i + block])
+                                  for i in range(0, len(y_test), block)), args.threshold)
     _stage("save", dataio.save_model, artifact, args.model)
     report_path = args.report or f"{args.model}.report.txt"
     _stage("report", dataio.write_atomic, report_path, format_report(report))
@@ -267,15 +289,15 @@ def cmd_evaluate(args) -> int:
     artifact = _stage("load-model", dataio.load_model, args.model)
     schema = _stage("schema", _schema_from_args, args, artifact.schema)
 
-    def load_labeled():
+    def labeled_chunks():
         try:
-            return dataio.load_csv(args.input, schema, artifact.layout)
+            yield from dataio.load_csv_chunks(args.input, schema, artifact.layout)
         except SchemaError as exc:
             raise SchemaError(
                 f"{exc} (evaluate needs a labeled CSV; use 'flowelm score' for unlabeled records)"
             ) from None
 
-    report = _evaluate(artifact, _stage("load", load_labeled), args.threshold)
+    report = _evaluate(artifact, _staged("load", labeled_chunks()), args.threshold)
     sys.stdout.write(format_report(report))
     display_summary(report)
     if args.report:
@@ -326,12 +348,12 @@ def _verdict_lines(artifact: dataio.ModelArtifact, records, rows, threshold: flo
     evaluation, and how many lines are ERROR."""
     outcomes = []  # per decoded row: its score, or the reason it gets ERROR
     if rows:
-        x, scored, finite = artifact.transform(rows)
+        scores, scored, finite = _scored(artifact, rows)
         outcomes = [
             "numeric field overflows when scaled" if ok else "unparseable or non-finite numeric field"
             for ok in finite.tolist()
         ]
-        for i, value in zip(scored.tolist(), elm_mod.score(artifact.model, x).tolist()):
+        for i, value in zip(scored.tolist(), scores.tolist()):
             outcomes[i] = value
     outcomes = iter(outcomes)
     lines = []

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import elm
 from .elm import Activation, ElmModel, ElmParams
 from .errors import (
     DataError,
@@ -302,94 +303,146 @@ def _infer_layout(rows, n_cells, dropped, columns) -> RecordLayout:
     )
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None = None) -> FlowDataset:
-    """Parse a labeled flow CSV into a dataset (may still contain NaN markers).
+class _Chunks:
+    """Decoded rows and their label bits, handed out `rows` rows at a time."""
+
+    def __init__(self, width: int, rows: int):
+        self.width, self.rows = width, rows
+        self.values, self.labels = array.array("d"), bytearray()  # the chunk being filled
+        self.taken = 0  # rows handed out
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first n rows held, as (features, labels) arrays over buffers
+        that nothing else holds."""
+        values, labels = self.values, self.labels
+        self.values, self.labels = array.array("d", values[n * self.width :]), labels[n:]
+        del values[n * self.width :], labels[n:]
+        self.taken += n
+        return np.frombuffer(values).reshape(n, self.width), np.frombuffer(labels, dtype=np.uint8)
+
+    def full(self):
+        while len(self.labels) >= self.rows:
+            yield self.take(self.rows)
+
+
+def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
+    """Read a labeled CSV file open in binary mode. Yields its layout (the
+    given one, or one inferred in a first pass, after which the file is
+    rewound, so it must be seekable), then its rows as (features, labels)
+    chunks of elm._BLOCK_ROWS rows, one elm.score block, the last one
+    shorter.
+
     A label is 0 if it is the benign value (ignoring case and surrounding
-    whitespace), 1 otherwise.
-
-    Without a layout, one is inferred from the rows in a first pass, after
-    which the file is rewound for the decoding pass, so it must be seekable.
-    With one (a model's), the header's feature columns must match it, and a
-    row with an unknown category value becomes a row of NaN markers.
-
-    An all-numeric layout's rows are parsed _BLOCK_LINES lines at a time
-    (see _block_parser); a block that falls back is decoded per record, and
-    from the first block that holds a quote on, the rest of the file is.
+    whitespace), 1 otherwise. With a given layout, the header's feature
+    columns must match it, and a row with an unknown category value becomes
+    a row of NaN markers. An all-numeric layout's rows are parsed
+    _BLOCK_LINES lines at a time (see _block_parser); a block that falls
+    back is decoded per record, and from the first block that holds a quote
+    on, the rest of the file is. A file without data rows is a DataError,
+    raised once every chunk has been read.
     """
-    with open(path, "rb") as fh:
-        rows = _read_rows(fh, path, schema.delimiter)
-        line_no, header = next(rows, (0, None))
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        if schema.label_column not in header:
-            raise SchemaError(
-                f"{path}: no {schema.label_column!r} column; header columns: {header}"
-            )
-        if header.count(schema.label_column) > 1:
-            raise SchemaError(
-                f"{path}: the {schema.label_column!r} column is named more than once;"
-                f" header columns: {header}"
-            )
-        label_pos = header.index(schema.label_column)
-        dropped = schema.dropped_positions(header)
-        columns = tuple(_feature_cells(list(header), dropped))
-        if layout is None:
-            layout = _infer_layout(rows, len(header), dropped, columns)
+    records = _read_rows(fh, path, schema.delimiter)
+    line_no, header = next(records, (0, None))
+    if header is None:
+        raise DataError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    if schema.label_column not in header:
+        raise SchemaError(
+            f"{path}: no {schema.label_column!r} column; header columns: {header}"
+        )
+    if header.count(schema.label_column) > 1:
+        raise SchemaError(
+            f"{path}: the {schema.label_column!r} column is named more than once;"
+            f" header columns: {header}"
+        )
+    label_pos = header.index(schema.label_column)
+    dropped = schema.dropped_positions(header)
+    columns = tuple(_feature_cells(list(header), dropped))
+    if layout is None:
+        layout = _infer_layout(records, len(header), dropped, columns)
+        try:
+            fh.seek(0)
+        except OSError:
+            raise DataError(f"{path}: cannot rewind the input; it must be a regular file") from None
+        records = _read_rows(fh, path, schema.delimiter)
+        next(records)
+    elif layout.columns != columns:
+        raise DataError(
+            f"{path}: feature columns do not match the model\n"
+            f"  model: {list(layout.columns)}\n  input: {list(columns)}"
+        )
+    yield layout
+    missing = [math.nan] * len(layout.feature_names)
+    benign = schema.benign_value.strip().lower()
+    rows = elm._BLOCK_ROWS
+    chunks = _Chunks(len(missing), rows)
+
+    def decode_rows(records):
+        for line_no, row in records:
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+            label = row[label_pos].strip()
+            if not label:
+                raise ParseError(f"{path}:{line_no}: empty traffic category")
             try:
-                fh.seek(0)
-            except OSError:
-                raise DataError(f"{path}: cannot rewind the input; it must be a regular file") from None
-            rows = _read_rows(fh, path, schema.delimiter)
-            next(rows)
-        elif layout.columns != columns:
-            raise DataError(
-                f"{path}: feature columns do not match the model\n"
-                f"  model: {list(layout.columns)}\n  input: {list(columns)}"
-            )
-        missing = [math.nan] * len(layout.feature_names)
-        benign = schema.benign_value.strip().lower()
-        values = array.array("d")
-        labels = bytearray()
+                chunks.values.extend(layout.decode(_feature_cells(row, dropped)))
+            except ParseError:
+                chunks.values.extend(missing)
+            chunks.labels.append(label.lower() != benign)
+            if len(chunks.labels) == rows:
+                yield chunks.take(rows)
 
-        def decode_rows(rows):
-            for line_no, row in rows:
-                if len(row) != len(header):
-                    raise ParseError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-                label = row[label_pos].strip()
-                if not label:
-                    raise ParseError(f"{path}:{line_no}: empty traffic category")
-                try:
-                    values.extend(layout.decode(_feature_cells(row, dropped)))
-                except ParseError:
-                    values.extend(missing)
-                labels.append(label.lower() != benign)
-
-        parse = _block_parser(layout, len(header), dropped, schema.delimiter, label_pos)
-        if parse is None:
-            decode_rows(rows)
-        else:  # `rows` has read no further than the header, so the blocks start after it
-            while lines := [line for _, line in zip(range(_BLOCK_LINES), fh)]:
-                text = b"".join(lines)
-                block = parse(text)
-                if block is not None:
-                    values.frombytes(block[0].tobytes())
-                    labels.extend(map(benign.__ne__, map(str.lower, block[1])))
-                elif b'"' in text:  # a quoted cell may hold a line break: csv.reader reads the rest
-                    decode_rows(_read_rows((line for part in (lines, fh) for line in part),
-                                           path, schema.delimiter, line_no))
-                    break
-                else:
-                    decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
-                line_no += len(lines)
-    if not labels:
+    parse = _block_parser(layout, len(header), dropped, schema.delimiter, label_pos)
+    if parse is None:
+        yield from decode_rows(records)
+    else:  # `records` has read no further than the header, so the blocks start after it
+        while lines := [line for _, line in zip(range(_BLOCK_LINES), fh)]:
+            text = b"".join(lines)
+            block = parse(text)
+            if block is not None:
+                chunks.values.frombytes(block[0].tobytes())
+                chunks.labels.extend(map(benign.__ne__, map(str.lower, block[1])))
+                yield from chunks.full()
+            elif b'"' in text:  # a quoted cell may hold a line break: csv.reader reads the rest
+                yield from decode_rows(_read_rows((line for part in (lines, fh) for line in part),
+                                                  path, schema.delimiter, line_no))
+                break
+            else:
+                yield from decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
+            line_no += len(lines)
+    if chunks.labels:
+        yield chunks.take(len(chunks.labels))
+    if not chunks.taken:
         raise DataError(f"{path}: no data rows")
+
+
+def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None = None) -> FlowDataset:
+    """Parse a labeled flow CSV into a dataset (may still contain NaN
+    markers), by the rules of _decoding_pass: one feature array, filled a
+    chunk at a time."""
+    values, labels = array.array("d"), bytearray()
+    with open(path, "rb") as fh:
+        chunks = _decoding_pass(fh, path, schema, layout)
+        layout = next(chunks)
+        for features, chunk_labels in chunks:
+            values.frombytes(features.reshape(-1).view(np.uint8))  # the bytes, not a copy
+            labels.extend(chunk_labels)
     return FlowDataset._adopt(
-        np.frombuffer(values).reshape(len(labels), len(missing)),
+        np.frombuffer(values).reshape(len(labels), len(layout.feature_names)),
         labels=np.frombuffer(labels, dtype=np.uint8),
         feature_names=layout.feature_names,
         source=str(path),
     )
+
+
+def load_csv_chunks(path, schema: CsvSchema, layout: RecordLayout):
+    """load_csv's rows without its array: a generator of (features, labels)
+    chunks of elm._BLOCK_ROWS rows, read from the file as they are asked
+    for. The file is read once, front to back, so it may be a pipe."""
+    with open(path, "rb") as fh:
+        chunks = _decoding_pass(fh, path, schema, layout)
+        next(chunks)
+        yield from chunks
 
 
 def write_csv(dataset: FlowDataset, path, schema: CsvSchema = CsvSchema()) -> None:

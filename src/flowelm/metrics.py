@@ -38,13 +38,16 @@ class ConfusionMatrix:
 
 
 def _check_binary(vec, name: str) -> np.ndarray:
+    """A vector whose values truncate to 0 or 1, as a bool array: one byte
+    per row, and no copy of a bool vector."""
     arr = np.asarray(vec)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a vector")
-    arr = arr.astype(np.int64)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.dtype == bool:
+        return arr
+    if arr.size and not (arr.min() > -1 and arr.max() < 2):
         raise DataError(f"{name} must contain only 0 and 1")
-    return arr
+    return arr >= 1
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
@@ -54,12 +57,9 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
         raise ShapeError(f"length mismatch: {t.shape[0]} labels vs {p.shape[0]} predictions")
     if t.shape[0] == 0:
         raise ShapeError("confusion requires at least one sample")
-    return ConfusionMatrix(
-        tp=int(np.sum((t == 1) & (p == 1))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        tn=int(np.sum((t == 0) & (p == 0))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-    )
+    tp = int(np.count_nonzero(t & p))
+    n_true, n_pred = int(np.count_nonzero(t)), int(np.count_nonzero(p))
+    return ConfusionMatrix(tp=tp, fp=n_pred - tp, tn=t.shape[0] - n_true - n_pred + tp, fn=n_true - tp)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -86,18 +86,22 @@ def auc_roc(y_true, scores) -> float:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] != t.shape[0]:
         raise ShapeError(f"scores must be a vector of length {t.shape[0]}")
-    n_pos = int(np.sum(t == 1))
+    n_pos = int(np.count_nonzero(t))
     n_neg = t.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one sample of each class")
 
     # Average 1-based rank: ties span sorted positions [left, right), so
-    # their mean 1-based rank is (left + 1 + right) / 2.
+    # their mean 1-based rank is (left + 1 + right) / 2. The positives' sum
+    # of left + 1 + right is an exact integer, taken a block of rows at a
+    # time, so no temporary but the sorted scores is longer than a block.
     sorted_scores = np.sort(s)
-    ranks = 0.5 * (
-        np.searchsorted(sorted_scores, s, "left") + np.searchsorted(sorted_scores, s, "right") + 1
-    )
-    rank_sum = float(ranks[t == 1].sum())
+    twice_rank_sum = n_pos
+    for start in range(0, s.shape[0], elm._BLOCK_ROWS):
+        positives = s[start : start + elm._BLOCK_ROWS][t[start : start + elm._BLOCK_ROWS]]
+        twice_rank_sum += int(np.searchsorted(sorted_scores, positives, "left").sum())
+        twice_rank_sum += int(np.searchsorted(sorted_scores, positives, "right").sum())
+    rank_sum = twice_rank_sum / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -119,15 +123,23 @@ class EvalReport:
 
 
 def evaluate(model: elm.ElmModel, test: FlowDataset, threshold: float = 0.5) -> EvalReport:
-    """Score once, threshold, and fill every report field.
+    """Score once, then report: evaluate_scores on elm.score's scores.
 
     The test features must already be in model space (selected and scaled).
     """
-    if test.n_samples == 0:
+    return evaluate_scores(test.labels, elm.score(model, test.features), threshold)
+
+
+def evaluate_scores(labels, scores, threshold: float = 0.5) -> EvalReport:
+    """Threshold the scores and fill every report field from the 0/1
+    labels and the scores alone, so rows can be scored a chunk at a time
+    and only these two vectors kept."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    scores = elm.score(model, test.features)
-    pred = (scores >= threshold).astype(np.int64)
-    cm = confusion(test.labels, pred)
+    pred = scores >= threshold
+    cm = confusion(labels, pred)
+    del pred  # before auc_roc's temporaries
     precision, recall, f1 = prf1(cm)
     neg_precision = _ratio(cm.tn, cm.tn + cm.fn)
     neg_recall = _ratio(cm.tn, cm.tn + cm.fp)
@@ -144,9 +156,9 @@ def evaluate(model: elm.ElmModel, test: FlowDataset, threshold: float = 0.5) -> 
         precision=precision,
         recall=recall,
         f1=f1,
-        auc_roc=auc_roc(test.labels, scores) if cm.tp + cm.fn and cm.fp + cm.tn else math.nan,
+        auc_roc=auc_roc(labels, scores) if cm.tp + cm.fn and cm.fp + cm.tn else math.nan,
         threshold=threshold,
-        n_samples=test.n_samples,
+        n_samples=cm.total,
         neg_precision=neg_precision,
         neg_recall=neg_recall,
         degenerate=degenerate,

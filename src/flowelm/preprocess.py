@@ -181,8 +181,20 @@ def clean(raw: FlowDataset) -> FlowDataset:
     return raw.subset_rows(keep)
 
 
-# Columns per block in select_features (see there); at least 2.
-_SELECT_COLUMNS = 8
+# Columns per block in select_features and fit_scaler; at least 2.
+_BLOCK_COLUMNS = 8
+
+
+def _column_blocks(m: int) -> list[tuple[int, int]]:
+    """The (start, stop) column blocks of an m-column array, _BLOCK_COLUMNS
+    wide, so that no temporary is wider than a block. A lone column would
+    reduce pairwise along its rows and change the bits of a mean or a sum,
+    so the last block takes it unless the array has one column: each
+    block's column statistics are then the full-width call's, bit for bit."""
+    starts = list(range(0, m, _BLOCK_COLUMNS))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [m]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,15 +223,9 @@ def select_features(data: FlowDataset, threshold: float = 0.02) -> FeatureSelect
         raise DataError("feature selection needs at least 2 rows")
     if threshold < 0:
         raise DataError("correlation threshold must be >= 0")
-    # One block of columns at a time, so no temporary is wider than a
-    # block. A lone column would reduce pairwise along its rows and change
-    # the bits, so the last block takes it unless the data has one column.
     x = data.features
     n, m = x.shape
-    starts = list(range(0, m, _SELECT_COLUMNS))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [m]))
+    blocks = _column_blocks(m)
     if not all(np.isfinite(x[:, a:b]).all() for a, b in blocks):
         raise DataError("feature selection requires finite features; run clean() first")
 
@@ -281,17 +287,21 @@ class ScalerState:
 
 
 def fit_scaler(train_features, names=None) -> ScalerState:
-    """The z-score scaler of the training rows. A column with zero variance
-    is a DataError that names it, by `names` if given, else by position."""
+    """The z-score scaler of the training rows, a block of columns at a
+    time. A column with zero variance is a DataError that names it, by
+    `names` if given, else by position."""
     arr = np.asarray(train_features, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError("scaler input must be 2-D")
     if arr.shape[0] < 2:
         raise DataError("scaler needs at least 2 rows")
-    if not np.isfinite(arr).all():
+    blocks = _column_blocks(arr.shape[1])  # no temporary wider than a block, the same bits
+    if not all(np.isfinite(arr[:, a:b]).all() for a, b in blocks):
         raise DataError("scaler input must be finite")
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0)
+    means, stds = np.empty(arr.shape[1]), np.empty(arr.shape[1])
+    for a, b in blocks:
+        means[a:b] = arr[:, a:b].mean(axis=0)
+        stds[a:b] = arr[:, a:b].std(axis=0)
     zero = np.where(stds == 0)[0]
     if zero.size:
         column = zero[0] if names is None else repr(names[zero[0]])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import select
 import subprocess
@@ -579,35 +581,123 @@ class TestScore:
         assert result.stdout == ""
 
 
-class TestBoundedMemory:
-    """evaluate scores the one array that the artifact's transform makes."""
+def run_in_process(*args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_mod.main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
-    def test_evaluate_peak_allocation_under_two_feature_arrays(self):
+
+def write_capture(path, features, labels, names):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + ",Label\n")
+        for row, label in zip(features.tolist(), labels.tolist()):
+            fh.write(",".join("%.6g" % v for v in row) + (",DDoS\n" if label else ",Benign\n"))
+
+
+class TestBoundedMemory:
+    """evaluate holds a label byte and a score per usable row, plus one chunk."""
+
+    def test_evaluate_peak_grows_by_a_label_and_a_score_per_row(self, tmp_path):
         rs = np.random.RandomState(12)
-        n, m = 3 * elm_mod._BLOCK_ROWS, 40
-        features = rs.randn(n, m)
-        labels = (features[:, 0] + 0.5 * rs.randn(n) > 0).astype(int)
-        features[5, 7] = np.nan  # one row skipped
+        n, m = 3 * elm_mod._BLOCK_ROWS, 12
         names = tuple(f"f{j}" for j in range(m))
-        data = preprocess.FlowDataset(features=features, labels=labels, feature_names=names)
-        fit_rows = preprocess.FlowDataset(features=features[10:600], labels=labels[10:600], feature_names=names)
-        selection = preprocess.select_features(fit_rows, 0.0)
+        features = rs.randn(4 * n, m)
+        labels = (features[:, 0] + 0.5 * rs.randn(4 * n) > 0).astype(int)
+        fit_rows = preprocess.FlowDataset(features=features[:600], labels=labels[:600], feature_names=names)
         scaler = preprocess.fit_scaler(fit_rows.features)
         artifact = dataio.ModelArtifact(
             model=elm_mod.fit(preprocess.apply_scaler(scaler, fit_rows.features), fit_rows.labels,
                               elm_mod.ElmParams(8, Activation.TANH, seed=1)),
-            selection=selection, scaler=scaler, schema=dataio.CsvSchema(), feature_names=names, seed=1,
+            selection=preprocess.select_features(fit_rows, 0.0), scaler=scaler, schema=dataio.CsvSchema(),
+            feature_names=names, seed=1,
         )
-        assert len(selection.kept_indices) == m
-        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
-        try:
-            report = cli_mod._evaluate(artifact, data, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.n_samples == n - 1
-        # measured 1.5 feature arrays; 3.1 with a copy per select, scale and subset step
-        assert peak < 2.0 * features.nbytes, f"peak {peak} bytes, features {features.nbytes}"
+        assert len(artifact.selection.kept_indices) == m
+        model = tmp_path / "m.flowelm"
+        dataio.save_model(artifact, model)
+        for rows in (n, 4 * n):
+            write_capture(tmp_path / f"{rows}.csv", features[:rows], labels[:rows], names)
+
+        def peak(rows):
+            capture = tmp_path / f"{rows}.csv"
+            tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+            try:
+                code, out, _ = run_in_process("evaluate", "--model", str(model), "--input", str(capture))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert f"n_samples={rows}\n" in out
+            return peak
+
+        peak(n)  # the first run's one-time allocations stay out of the comparison
+        growth = peak(4 * n) - peak(n)
+        # measured 0.69 MB for the 3n added rows' 0.66 MB of labels and
+        # scores; 18 MB while evaluate held the decoded rows and their copy
+        assert growth < 3 * n * (1 + 8) + (512 << 10), f"peak grew by {growth} bytes"
+
+
+class TestChunkSize:
+    """evaluate reads, scores and counts a chunk of rows at a time; the chunk
+    size changes no byte of its output."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("chunks")
+        rs = np.random.RandomState(3)
+        n = 300
+        labels = (rs.rand(n) < 0.5).astype(int)
+        # z follows the label with a spread near 0.001, so -1e308 in z overflows when scaled
+        z = 0.001 * (labels + 0.5 * rs.randn(n))
+        features = np.column_stack([rs.randn(n) + 2.0 * labels, rs.randn(n), z])
+        names = ("a", "b", "z")
+        write_capture(directory / "clean.csv", features, labels, names)
+        model = directory / "m.flowelm"
+        code, _, err = run_in_process("train", "--input", str(directory / "clean.csv"), "--model", str(model),
+                                      "--hidden", "8", "--corr-threshold", "0")
+        assert code == 0, err
+        lines = (directory / "clean.csv").read_text().splitlines()
+        # a missing cell, non-finite cells and a value that overflows when
+        # scaled, spread over many chunks of 8 and several of 64
+        faults = [(0, ""), (1, "inf"), (2, "-1e308"), (0, "nan"), (1, "x")] * 3
+        for i, (column, value) in zip(range(7, n, 23), faults):  # 13 rows: 3 of them overflow
+            cells = lines[i].split(",")
+            cells[column] = value
+            lines[i] = ",".join(cells)
+        (directory / "dirty.csv").write_text("\n".join(lines) + "\n")
+        records = lines[1:] * 30
+        records[8500] = "1,2"  # line 8502: after the first chunk at every size tried
+        (directory / "malformed.csv").write_text("\n".join(lines[:1] + records) + "\n")
+        return directory, model
+
+    def evaluate(self, monkeypatch, directory, model, csv, rows):
+        report = directory / f"{csv}-{rows}.report"
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(elm_mod, "_BLOCK_ROWS", rows)
+            code, out, err = run_in_process("evaluate", "--model", str(model), "--input", str(directory / csv),
+                                            "--report", str(report))
+        return code, out.replace(str(report), "REPORT"), err, report.read_bytes() if report.exists() else None
+
+    def test_chunk_size_changes_no_byte(self, monkeypatch, files):
+        directory, model = files
+        # 72 rows: chunks that end inside a 64-line parse block
+        runs = [self.evaluate(monkeypatch, directory, model, "dirty.csv", rows) for rows in (8, 64, 72, None)]
+        code, out, err, report = runs[-1]
+        assert code == 0, err
+        assert "skipped 10 record(s) with missing values" in err
+        assert "skipped 3 record(s) with a value that overflows when scaled" in err
+        assert report is not None and "n_samples=287\n" in out
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_malformed_line_after_the_first_chunk_exits_2(self, monkeypatch, files):
+        directory, model = files
+        path = directory / "malformed.csv"
+        for rows in (8, 64, 72, None):
+            code, out, err, report = self.evaluate(monkeypatch, directory, model, "malformed.csv", rows)
+            assert (code, out, report) == (2, "", None)
+            assert err == f"flowelm: load: {path}:8502: expected 4 cells, got 2\n"
 
 
 class TestValueThatOverflowsWhenScaled:

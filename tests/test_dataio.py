@@ -615,8 +615,10 @@ class TestBlockParser:
     no block size shows."""
 
     @settings(max_examples=400, deadline=None)
-    @given(case=labeled_files(), given_layout=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]))
-    def test_load_csv_equals_per_record_decoding(self, tmp_path_factory, case, given_layout, block_lines):
+    @given(case=labeled_files(), given_layout=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]),
+           chunk_rows=st.sampled_from([8, 16, elm._BLOCK_ROWS]))
+    def test_load_csv_equals_per_record_decoding(self, tmp_path_factory, case, given_layout, block_lines,
+                                                 chunk_rows):
         schema, columns, data = case
         path = tmp_path_factory.mktemp("blocks") / "data.csv"
         path.write_bytes(data)
@@ -624,7 +626,8 @@ class TestBlockParser:
         with per_record():
             expected = load_outcome(path, schema, layout)
         with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
-            assert load_outcome(path, schema, layout) == expected
+            with mock.patch.object(elm, "_BLOCK_ROWS", chunk_rows):  # the decoding pass's chunk size
+                assert load_outcome(path, schema, layout) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(delimiter=BLOCK_DELIMITERS, header=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]),

@@ -331,6 +331,31 @@ class TestScaler:
             assert abs(state.means[j] - mean) < 1e-12
             assert abs(state.stds[j] - math.sqrt(var)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(5000, 13), (4096, 9), (1000, 9), (777, 17), (300, 1)])
+    def test_blocked_statistics_equal_the_full_width_call(self, shape):
+        rs = np.random.RandomState(shape[1])
+        arr = rs.randn(*shape) * rs.uniform(0.1, 1e3, shape[1]) + rs.uniform(-1e4, 1e4, shape[1])
+        state = preprocess.fit_scaler(arr)
+        assert state.means.tobytes() == arr.mean(axis=0).tobytes()
+        assert state.stds.tobytes() == arr.std(axis=0).tobytes()
+
+    def test_column_blocks_leave_no_lone_last_column(self):
+        assert preprocess._column_blocks(1) == [(0, 1)]
+        assert preprocess._column_blocks(9) == [(0, 9)]
+        assert preprocess._column_blocks(16) == [(0, 8), (8, 16)]
+        assert preprocess._column_blocks(17) == [(0, 8), (8, 17)]
+
+    def test_peak_allocation_is_a_block_of_columns(self):
+        arr = np.random.RandomState(5).randn(20000, 40)
+        tracemalloc.start()
+        try:
+            preprocess.fit_scaler(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block is 8 of the 40 columns; arr.std(axis=0) made a full-width temporary
+        assert peak < 0.4 * arr.nbytes, f"peak {peak} bytes, array {arr.nbytes}"
+
     def test_apply_to_fitting_data_standardizes(self):
         rs = np.random.RandomState(3)
         arr = rs.randn(50, 3) * 4.0 + 7.0
