@@ -213,8 +213,7 @@ def _train_pipeline(args, choose_params) -> int:
     params = choose_params(train)
     del train  # the search's read-only view of the rows scaled in place below
     scaler = _stage("fit-scaler", preprocess.fit_scaler, x_train, kept_names)
-    x_train -= scaler.means  # apply_scaler's operations, in place: the same bits
-    x_train /= scaler.stds
+    preprocess.scale_in_place(scaler, x_train)
     model = _stage("train", elm_mod.fit, x_train, y_train, params)
     del x_train  # before the held-out rows are scored
     artifact = dataio.ModelArtifact(
@@ -341,11 +340,11 @@ def _record_row(artifact: dataio.ModelArtifact, cells, n_cells: int, dropped):
         return "unknown category value"
 
 
-def _verdict_lines(artifact: dataio.ModelArtifact, records, rows, threshold: float) -> tuple[str, int]:
-    """The verdict lines of (ordinal, ERROR reason or None) records, where
-    the records with None have the decoded `rows` (flat, in order), the rows
-    that the artifact's transform lets through scored in one model
-    evaluation, and how many lines are ERROR."""
+def _verdict_lines(artifact: dataio.ModelArtifact, first: int, records, rows, threshold: float) -> tuple[str, int]:
+    """The verdict lines of `records`, numbered from ordinal `first`: per
+    record its ERROR reason, or None for a record of the decoded `rows`
+    (flat, in order), the rows that the artifact's transform lets through
+    scored in one model evaluation; and how many lines are ERROR."""
     outcomes = []  # per decoded row: its score, or the reason it gets ERROR
     if rows:
         scores, scored, finite = _scored(artifact, rows)
@@ -358,7 +357,7 @@ def _verdict_lines(artifact: dataio.ModelArtifact, records, rows, threshold: flo
     outcomes = iter(outcomes)
     lines = []
     errors = 0
-    for ordinal, row in records:
+    for ordinal, row in enumerate(records, first):
         if row is None:
             row = next(outcomes)
         if isinstance(row, str):
@@ -380,16 +379,14 @@ def cmd_score(args) -> int:
     first = True
     try:
         for lines in _line_blocks(stream):
-            records = []  # (ordinal, ERROR reason, or None for a decoded row)
+            records = []  # per record: its ERROR reason, or None for a decoded row
             rows = array.array("d")  # the decoded rows, flat
             for start in range(0, len(lines), dataio._BLOCK_LINES):
                 block = lines[start : start + dataio._BLOCK_LINES]
                 parsed = None if parse is None else parse(b"\n".join(block))
                 if parsed is not None:
-                    n = len(parsed[0])
                     rows.frombytes(parsed[0].tobytes())
-                    records += [(i, None) for i in range(ordinal, ordinal + n)]
-                    ordinal += n
+                    records += [None] * len(parsed[0])
                     continue
                 for line in block:
                     cells = dataio.record_cells(line, delimiter)
@@ -409,10 +406,10 @@ def cmd_score(args) -> int:
                     if not isinstance(row, str):
                         rows.extend(row)
                         row = None
-                    records.append((ordinal, row))
-                    ordinal += 1
+                    records.append(row)
             if records:
-                lines, n_errors = _verdict_lines(artifact, records, rows, args.threshold)
+                lines, n_errors = _verdict_lines(artifact, ordinal, records, rows, args.threshold)
+                ordinal += len(records)
                 errors += n_errors
                 sys.stdout.write(lines)
                 sys.stdout.flush()

@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .preprocess import FeatureSelection, FlowDataset, ScalerState
+from .preprocess import FeatureSelection, FlowDataset, ScalerState, scale_in_place
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -303,34 +303,15 @@ def _infer_layout(rows, n_cells, dropped, columns) -> RecordLayout:
     )
 
 
-class _Chunks:
-    """Decoded rows and their label bits, handed out `rows` rows at a time."""
-
-    def __init__(self, width: int, rows: int):
-        self.width, self.rows = width, rows
-        self.values, self.labels = array.array("d"), bytearray()  # the chunk being filled
-        self.taken = 0  # rows handed out
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first n rows held, as (features, labels) arrays over buffers
-        that nothing else holds."""
-        values, labels = self.values, self.labels
-        self.values, self.labels = array.array("d", values[n * self.width :]), labels[n:]
-        del values[n * self.width :], labels[n:]
-        self.taken += n
-        return np.frombuffer(values).reshape(n, self.width), np.frombuffer(labels, dtype=np.uint8)
-
-    def full(self):
-        while len(self.labels) >= self.rows:
-            yield self.take(self.rows)
-
-
-def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
+def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None, chunk_rows=math.inf):
     """Read a labeled CSV file open in binary mode. Yields its layout (the
     given one, or one inferred in a first pass, after which the file is
     rewound, so it must be seekable), then its rows as (features, labels)
-    chunks of elm._BLOCK_ROWS rows, one elm.score block, the last one
-    shorter.
+    chunks. The rows fill one buffer of each, handed out whole, as arrays
+    over them, once they hold chunk_rows rows or more, and fresh buffers
+    follow; as a parsed block adds its rows at once, a chunk may hold up
+    to _BLOCK_LINES - 1 more. The last chunk holds the rest: without a
+    chunk_rows it is the only one.
 
     A label is 0 if it is the benign value (ignoring case and surrounding
     whitespace), 1 otherwise. With a given layout, the header's feature
@@ -338,8 +319,7 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
     a row of NaN markers. An all-numeric layout's rows are parsed
     _BLOCK_LINES lines at a time (see _block_parser); a block that falls
     back is decoded per record, and from the first block that holds a quote
-    on, the rest of the file is. A file without data rows is a DataError,
-    raised once every chunk has been read.
+    on, the rest of the file is. A file without data rows is a DataError.
     """
     records = _read_rows(fh, path, schema.delimiter)
     line_no, header = next(records, (0, None))
@@ -374,8 +354,15 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
     yield layout
     missing = [math.nan] * len(layout.feature_names)
     benign = schema.benign_value.strip().lower()
-    rows = elm._BLOCK_ROWS
-    chunks = _Chunks(len(missing), rows)
+    values, labels = array.array("d"), bytearray()  # the chunk being filled
+    taken = False  # whether a chunk has been handed out
+
+    def take():
+        """The chunk being filled, as arrays over its buffers; fresh ones follow."""
+        nonlocal values, labels, taken
+        chunk = np.frombuffer(values).reshape(len(labels), len(missing)), np.frombuffer(labels, dtype=np.uint8)
+        values, labels, taken = array.array("d"), bytearray(), True
+        return chunk
 
     def decode_rows(records):
         for line_no, row in records:
@@ -385,12 +372,12 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
             if not label:
                 raise ParseError(f"{path}:{line_no}: empty traffic category")
             try:
-                chunks.values.extend(layout.decode(_feature_cells(row, dropped)))
+                values.extend(layout.decode(_feature_cells(row, dropped)))
             except ParseError:
-                chunks.values.extend(missing)
-            chunks.labels.append(label.lower() != benign)
-            if len(chunks.labels) == rows:
-                yield chunks.take(rows)
+                values.extend(missing)
+            labels.append(label.lower() != benign)
+            if len(labels) >= chunk_rows:
+                yield take()
 
     parse = _block_parser(layout, len(header), dropped, schema.delimiter, label_pos)
     if parse is None:
@@ -400,9 +387,10 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
             text = b"".join(lines)
             block = parse(text)
             if block is not None:
-                chunks.values.frombytes(block[0].tobytes())
-                chunks.labels.extend(map(benign.__ne__, map(str.lower, block[1])))
-                yield from chunks.full()
+                values.frombytes(block[0].tobytes())
+                labels.extend(map(benign.__ne__, map(str.lower, block[1])))
+                if len(labels) >= chunk_rows:
+                    yield take()
             elif b'"' in text:  # a quoted cell may hold a line break: csv.reader reads the rest
                 yield from decode_rows(_read_rows((line for part in (lines, fh) for line in part),
                                                   path, schema.delimiter, line_no))
@@ -410,37 +398,31 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None):
             else:
                 yield from decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
             line_no += len(lines)
-    if chunks.labels:
-        yield chunks.take(len(chunks.labels))
-    if not chunks.taken:
+    if labels:
+        yield take()
+    elif not taken:
         raise DataError(f"{path}: no data rows")
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None = None) -> FlowDataset:
     """Parse a labeled flow CSV into a dataset (may still contain NaN
-    markers), by the rules of _decoding_pass: one feature array, filled a
-    chunk at a time."""
-    values, labels = array.array("d"), bytearray()
+    markers), by the rules of _decoding_pass: the dataset holds the pass's
+    one chunk, the whole file, as it is."""
     with open(path, "rb") as fh:
         chunks = _decoding_pass(fh, path, schema, layout)
         layout = next(chunks)
-        for features, chunk_labels in chunks:
-            values.frombytes(features.reshape(-1).view(np.uint8))  # the bytes, not a copy
-            labels.extend(chunk_labels)
-    return FlowDataset._adopt(
-        np.frombuffer(values).reshape(len(labels), len(layout.feature_names)),
-        labels=np.frombuffer(labels, dtype=np.uint8),
-        feature_names=layout.feature_names,
-        source=str(path),
-    )
+        ((features, labels),) = chunks
+    return FlowDataset._adopt(features, labels=labels, feature_names=layout.feature_names, source=str(path))
 
 
 def load_csv_chunks(path, schema: CsvSchema, layout: RecordLayout):
     """load_csv's rows without its array: a generator of (features, labels)
-    chunks of elm._BLOCK_ROWS rows, read from the file as they are asked
-    for. The file is read once, front to back, so it may be a pipe."""
+    chunks, read from the file as they are asked for. Every chunk but the
+    last holds at least elm._BLOCK_ROWS rows and fewer than
+    elm._BLOCK_ROWS + _BLOCK_LINES. The file is read once, front to back,
+    so it may be a pipe."""
     with open(path, "rb") as fh:
-        chunks = _decoding_pass(fh, path, schema, layout)
+        chunks = _decoding_pass(fh, path, schema, layout, elm._BLOCK_ROWS)
         next(chunks)
         yield from chunks
 
@@ -534,9 +516,8 @@ class ModelArtifact:
         finite = np.isfinite(features).all(axis=1)
         rows = np.flatnonzero(finite)
         x = features[rows[:, None], self._kept]
-        with np.errstate(over="ignore"):  # the same operations as (x - means) / stds
-            x -= self.scaler.means
-            x /= self.scaler.stds
+        with np.errstate(over="ignore"):
+            scale_in_place(self.scaler, x)
         # one screen of every row, and a per-row mask only when it fails
         if x.size and not max(x.max(), -x.min()) <= self._limit:
             in_range = (np.abs(x) <= self._limit).all(axis=1)

@@ -20,7 +20,7 @@ from . import metrics
 from . import elm
 from .elm import Activation, ElmParams
 from .errors import DataError, FlowElmError, StratificationError
-from .preprocess import FlowDataset, apply_scaler, fit_scaler, stratified_deal
+from .preprocess import FlowDataset, apply_scaler, fit_scaler, scale_in_place, stratified_deal
 from .rng import derive_seed, float_bits
 
 DEFAULT_HIDDEN_NODES = (16, 32, 64, 128, 256, 512, 1024)
@@ -133,11 +133,11 @@ def _leaderboard_key(entry: GridEntry):
 def _fold_outcomes(pool, data: FlowDataset, train_idx, valid_idx, jobs, metric: str) -> list:
     """Per configuration in `jobs`: its metric on one fold, or the message
     of the error its fit raised. The fold's rows are scaled once, by a
-    scaler fitted on its training rows, and go on return."""
-    rows = data.features[train_idx]
-    scaler = fit_scaler(rows)
-    x_train, y_train = apply_scaler(scaler, rows), data.labels[train_idx]
-    del rows
+    scaler fitted on its training rows, whose fancy-index copy is scaled in
+    place, and go on return."""
+    x_train, y_train = data.features[train_idx], data.labels[train_idx]
+    scaler = fit_scaler(x_train)
+    scale_in_place(scaler, x_train)
     x_valid, y_valid = apply_scaler(scaler, data.features[valid_idx]), data.labels[valid_idx]
 
     def outcome(params: ElmParams) -> float | str:

@@ -1,10 +1,10 @@
 """Data preparation: cleaning, feature selection, scaling, splitting.
 
 The intended composition is clean -> select_features -> split -> fit_scaler
-on the training part -> apply_scaler to both parts. Feature selection keeps
-columns whose absolute correlation with the binary label clears a threshold;
-scaling is a plain z-score with population (1/N) standard deviation, fitted
-on training rows only.
+on the training part -> apply_scaler (or scale_in_place) to both parts.
+Feature selection keeps columns whose absolute correlation with the binary
+label clears a threshold; scaling is a plain z-score with population (1/N)
+standard deviation, fitted on training rows only.
 """
 
 from __future__ import annotations
@@ -91,23 +91,15 @@ class FlowDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset_rows(self, indices, columns=None) -> "FlowDataset":
-        """The rows at `indices`; of the given columns only, if `columns` is
-        set, taken in the same fancy index."""
+    def subset_rows(self, indices) -> "FlowDataset":
         indices = np.asarray(indices, dtype=np.int64)
-        if columns is None:
-            features, names = self.features[indices], self.feature_names
-        else:
-            columns = list(columns)
-            features = self.features[np.ix_(indices, columns)]
-            names = tuple(self.feature_names[i] for i in columns)
         categories = None
         if self.categories is not None:
             categories = tuple(self.categories[i] for i in indices)
         return FlowDataset._adopt(
-            features,
+            self.features[indices],
             labels=self.labels[indices],
-            feature_names=names,
+            feature_names=self.feature_names,
             source=self.source,
             categories=categories,
         )
@@ -310,16 +302,23 @@ def fit_scaler(train_features, names=None) -> ScalerState:
 
 
 def apply_scaler(state: ScalerState, features) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
+    """A z-scored copy of `features`, which may be read-only."""
+    arr = np.array(features, dtype=np.float64)  # always a copy
     if arr.ndim != 2:
         raise ShapeError("scaler input must be 2-D")
     if arr.shape[1] != state.means.shape[0]:
         raise ShapeError(
             f"scaler fitted on {state.means.shape[0]} columns, input has {arr.shape[1]}"
         )
-    scaled = arr - state.means
-    scaled /= state.stds  # in place: one allocation, the bits of (arr - means) / stds
-    return scaled
+    return scale_in_place(state, arr)
+
+
+def scale_in_place(state: ScalerState, x: np.ndarray) -> np.ndarray:
+    """Z-score `x`, a writable float64 array of the scaler's width that the
+    caller owns, in place, with the bits of (x - means) / stds; returns x."""
+    x -= state.means
+    x /= state.stds
+    return x
 
 
 @dataclass(frozen=True, eq=False)

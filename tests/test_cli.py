@@ -149,7 +149,7 @@ class TestGrid:
         data = preprocess.clean(dataio.load_csv(small_synth_csv))
         train_rows, _ = preprocess.split_indices(data.labels, args.train_fraction, args.seed)
         selection = preprocess.select_features(data, args.corr_threshold)
-        train = data.subset_rows(train_rows, selection.kept_indices)
+        train = data.subset_rows(train_rows).subset_columns(selection.kept_indices)
         ((given_features, given_labels),) = searched
         np.testing.assert_array_equal(given_features, train.features)
         np.testing.assert_array_equal(given_labels, train.labels)
@@ -1133,6 +1133,23 @@ class TestTrainingRowsScaledInPlace:
         assert fitted is measured
         expected = preprocess.apply_scaler(real_fit_scaler(unscaled), unscaled)
         assert fitted.tobytes() == expected.tobytes()
+
+
+class TestDependencies:
+    def test_numpy_is_the_only_third_party_import(self):
+        """The CLI loads no third-party module but numpy and what numpy
+        loads, though scipy may be installed beside it."""
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "before = {name.partition('.')[0] for name in sys.modules}\n"
+            "import flowelm.cli\n"
+            "after = {name.partition('.')[0] for name in sys.modules}\n"
+            "print(sorted(after - before - set(sys.stdlib_module_names)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['flowelm']\n"
 
 
 class TestConfigFile:

@@ -521,6 +521,47 @@ class TestBoundedMemory:
         assert peak < 1.6 * ds.features.nbytes, f"peak {peak} bytes, features {ds.features.nbytes}"
 
 
+class TestChunks:
+    """load_csv_chunks hands out the decoding pass's buffers whole: every
+    chunk but the last holds at least elm._BLOCK_ROWS rows and fewer than
+    elm._BLOCK_ROWS + _BLOCK_LINES, and the chunks end to end are
+    load_csv's rows, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("chunks")
+        rs = np.random.RandomState(9)
+        x = rs.randn(elm._BLOCK_ROWS + 700, 3)
+        cells = [[repr(v) for v in row] for row in x.tolist()]
+        labels = ["DDoS" if row[0] > 0 else "Benign" for row in x.tolist()]
+
+        def csv(name, rows):
+            path = directory / name
+            path.write_text("a,b,c,Label\n" + "".join(",".join(r + [y]) + "\n" for r, y in zip(rows, labels)))
+            return path
+
+        empty = [list(r) for r in cells]
+        empty[150][1] = ""  # its parse block is decoded per record
+        quoted = [list(r) for r in cells]
+        quoted[200][2] = f'"{quoted[200][2]}"'  # the rest of the file is decoded per record
+        categorical = [r[:2] + [("tcp", "udp", "icmp")[i % 3]] for i, r in enumerate(cells)]
+        return csv("empty.csv", empty), csv("quoted.csv", quoted), csv("categorical.csv", categorical)
+
+    @pytest.mark.parametrize("chunk_rows", [8, 64, 72, None])  # 72: chunks that end inside a parse block
+    def test_chunks_end_to_end_are_load_csvs_rows(self, files, chunk_rows):
+        rows = chunk_rows or elm._BLOCK_ROWS
+        for path in files:
+            ds = dataio.load_csv(path)
+            layout = RecordLayout.from_feature_names(ds.feature_names)
+            with mock.patch.object(elm, "_BLOCK_ROWS", rows):
+                chunks = list(dataio.load_csv_chunks(path, CsvSchema(), layout))
+            assert len(chunks) > 1
+            assert all(rows <= len(labels) < rows + dataio._BLOCK_LINES for _, labels in chunks[:-1])
+            assert all(features.shape == (len(labels), ds.n_features) for features, labels in chunks)
+            assert np.concatenate([features for features, _ in chunks]).tobytes() == ds.features.tobytes()
+            assert np.concatenate([labels for _, labels in chunks]).tolist() == ds.labels.tolist()
+
+
 # Cells for the block parser's differential tests: floats as files write
 # them, and text on which np.loadtxt, float() and csv.reader could part ways:
 # empty and blank cells, non-finite literals, syntax only float() accepts,

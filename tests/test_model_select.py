@@ -165,6 +165,37 @@ class TestCrossValidate:
             assert np.array_equal(np.sort(markers), train_idx)
 
 
+class TestFoldRowsScaledInPlace:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_fit_gets_the_array_the_folds_scaler_measured(self, separable_data, monkeypatch, workers):
+        """A fold's training rows are scaled in place, with apply_scaler's
+        bits: every fit of the fold gets the very array that fit_scaler
+        measured, so no second copy of them is made."""
+        calls = []  # ("fit_scaler", its input, a copy of it) or ("fit", its input)
+        real_fit_scaler, real_fit = model_select.fit_scaler, elm.fit
+
+        def spy_fit_scaler(train_features, *names):
+            calls.append(("fit_scaler", train_features, np.array(train_features)))
+            return real_fit_scaler(train_features, *names)
+
+        def spy_fit(x, y, params):
+            calls.append(("fit", x))
+            return real_fit(x, y, params)
+
+        monkeypatch.setattr(model_select, "fit_scaler", spy_fit_scaler)
+        monkeypatch.setattr(model_select.elm, "fit", spy_fit)
+        spec = GridSpec(hidden_nodes=(4, 8), activations=(Activation.TANH, Activation.SIGMOID), folds=3, seed=1)
+        model_select.grid_search(separable_data, spec, workers=workers)
+        assert [name for name, *_ in calls] == (["fit_scaler"] + ["fit"] * 4) * 3
+        for call in calls:
+            if call[0] == "fit_scaler":
+                _, measured, unscaled = call
+                expected = preprocess.apply_scaler(real_fit_scaler(unscaled), unscaled)
+            else:
+                assert call[1] is measured
+                assert call[1].tobytes() == expected.tobytes()
+
+
 class TestGridSearch:
     def test_single_configuration_is_best(self, separable_data):
         spec = GridSpec(

@@ -50,11 +50,11 @@ class TestFlowDataset:
         for sub, expected in [
             (ds.subset_rows(rows), ds.features[rows]),
             (ds.subset_columns(columns), ds.features[:, columns]),
-            (ds.subset_rows(rows, columns), ds.features[rows][:, columns]),
+            (ds.subset_rows(rows).subset_columns(columns), ds.features[rows][:, columns]),
         ]:
             assert sub.features.tobytes() == np.ascontiguousarray(expected).tobytes()
             assert not sub.features.flags.writeable and not sub.labels.flags.writeable
-        both = ds.subset_rows(rows, columns)
+        both = ds.subset_rows(rows).subset_columns(columns)
         assert both.feature_names == ("f3", "f1") and both.categories == ("h", "c", "c", "a")
         assert both.labels.tolist() == ds.labels[rows].tolist()
 
