@@ -226,7 +226,7 @@ def _train_pipeline(args, choose_params) -> int:
         fingerprint=fingerprint,
         source=source,
     )
-    block = elm_mod._BLOCK_ROWS  # the chunks that evaluate reads
+    block = elm_mod._SCORE_ROWS  # the chunks that evaluate reads
     report = _evaluate(artifact, ((x_test[i : i + block], y_test[i : i + block])
                                   for i in range(0, len(y_test), block)), args.threshold)
     _stage("save", dataio.save_model, artifact, args.model)

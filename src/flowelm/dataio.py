@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import array
 import csv
-import hashlib
 import math
 import os
 import tempfile
@@ -418,11 +417,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), layout: RecordLayout | None 
 def load_csv_chunks(path, schema: CsvSchema, layout: RecordLayout):
     """load_csv's rows without its array: a generator of (features, labels)
     chunks, read from the file as they are asked for. Every chunk but the
-    last holds at least elm._BLOCK_ROWS rows and fewer than
-    elm._BLOCK_ROWS + _BLOCK_LINES. The file is read once, front to back,
+    last holds at least elm._SCORE_ROWS rows and fewer than
+    elm._SCORE_ROWS + _BLOCK_LINES. The file is read once, front to back,
     so it may be a pipe."""
     with open(path, "rb") as fh:
-        chunks = _decoding_pass(fh, path, schema, layout, elm._BLOCK_ROWS)
+        chunks = _decoding_pass(fh, path, schema, layout, elm._SCORE_ROWS)
         next(chunks)
         yield from chunks
 
@@ -445,6 +444,8 @@ def write_csv(dataset: FlowDataset, path, schema: CsvSchema = CsvSchema()) -> No
 def fingerprint(dataset: FlowDataset) -> str:
     """Content hash of the numeric payload (features plus labels), read
     from the arrays' own memory."""
+    import hashlib  # here, not at the top: OpenSSL stays out of evaluate and score
+
     digest = hashlib.sha256()
     digest.update(memoryview(np.ascontiguousarray(dataset.features)))
     digest.update(b"|")
@@ -493,7 +494,7 @@ class ModelArtifact:
         # columns of at most this magnitude, input weights of at most w and
         # an RBF width gamma, gamma * ||x||^2 (in the RBF distance) is at
         # most float max / 16, and x @ w and elm.score's finiteness sum over
-        # a block of rows are at most _BLOCK_ROWS * sqrt(k * float max).
+        # one scoring block are at most elm._SCORE_ROWS * sqrt(k * float max).
         w = max(1.0, float(np.abs(self.model.input_weights).max()))
         gamma = max(1.0, self.model.params.rbf_gamma)
         limit = math.sqrt(np.finfo(np.float64).max / (len(kept) * gamma)) / (4.0 * w)

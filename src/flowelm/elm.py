@@ -25,11 +25,15 @@ from .rng import Rng
 # does; padded blocks of a multiple of 8 rows give every row the same bits.
 _ROW_MULTIPLE = 8
 
-# The most rows whose hidden-layer responses exist at once: score() runs
-# blocks of this many rows, and fit() folds half blocks into its R factor
-# (np.linalg.qr copies its input, so a fold holds [R; H_c | T_c] twice).
-# A multiple of _ROW_MULTIPLE. Fit bytes depend on it; score bits do not.
-_BLOCK_ROWS = 8192
+# score() runs the hidden layer on blocks of this many rows; evaluate reads,
+# and train and grid score held-out rows, in chunks of about as many. A
+# multiple of _ROW_MULTIPLE. Score bits do not depend on it.
+_SCORE_ROWS = 1024
+
+# fit() folds this many rows at a time into its R factor (np.linalg.qr
+# copies its input, so a fold holds [R; H_c | T_c] twice). Fit bytes
+# depend on it.
+_FOLD_ROWS = 4096
 
 
 class Activation(enum.Enum):
@@ -114,8 +118,9 @@ def hidden_layer(
     b: np.ndarray,
     activation: Activation,
     rbf_gamma: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Hidden-node responses for every sample.
+    """Hidden-node responses for every sample, written into `out` if given.
 
     Tanh/sigmoid nodes apply the activation to x @ w + b; the sigmoid is
     computed as 0.5 * (1 + tanh(z / 2)), which cannot overflow. RBF nodes
@@ -133,7 +138,7 @@ def hidden_layer(
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"biases shaped {b.shape}, expected {(1, w.shape[1])}")
 
-    z = x @ w
+    z = np.matmul(x, w, out=out)
     if activation is Activation.TANH:
         z += b
         return np.tanh(z, out=z)
@@ -180,12 +185,12 @@ def _check_finite(x: np.ndarray, first_row: int) -> None:
 def fit(x_train, y_train, params: ElmParams) -> ElmModel:
     """Train on 0/1 labels: random hidden layer, least-squares output weights.
 
-    H is never held whole. Each half block of rows (see _BLOCK_ROWS) is
-    folded into the (L+1)x(L+1) R factor of [H | T], whose last column
-    carries Q^T T (TSQR: Demmel, Grigori, Hoemmen & Langou, 2012). Beta is
-    the minimum-norm solution of R's leading block, with H's own cutoff
-    EPS * max(rows, L). Pure function of (x_train, y_train, params);
-    repeated calls are bit-identical.
+    H is never held whole. The hidden layer of each _FOLD_ROWS rows is
+    written into the buffer that folds it into the (L+1)x(L+1) R factor of
+    [H | T], whose last column carries Q^T T (TSQR: Demmel, Grigori,
+    Hoemmen & Langou, 2012). Beta is the minimum-norm solution of R's
+    leading block, with H's own cutoff EPS * max(rows, L). Pure function of
+    (x_train, y_train, params); repeated calls are bit-identical.
     """
     x = np.asarray(x_train, dtype=np.float64)
     if x.ndim != 2:
@@ -196,17 +201,14 @@ def fit(x_train, y_train, params: ElmParams) -> ElmModel:
 
     w, b = init_random(params, x.shape[1])
     width = params.hidden_nodes
-    fold_rows = _BLOCK_ROWS // 2
     r = np.empty((0, width + 1))
-    for start in range(0, x.shape[0], fold_rows):
-        rows = x[start : start + fold_rows]
+    for start in range(0, x.shape[0], _FOLD_ROWS):
+        rows = x[start : start + _FOLD_ROWS]
         _check_finite(rows, start)
         stacked = np.empty((r.shape[0] + rows.shape[0], width + 1))
         stacked[: r.shape[0]] = r
-        stacked[r.shape[0] :, :width] = hidden_layer(
-            rows, w, b, params.activation, params.rbf_gamma
-        )
-        stacked[r.shape[0] :, width] = y[start : start + fold_rows]
+        hidden_layer(rows, w, b, params.activation, params.rbf_gamma, out=stacked[r.shape[0] :, :width])
+        stacked[r.shape[0] :, width] = y[start : start + _FOLD_ROWS]
         r = np.linalg.qr(stacked, mode="r")
         del stacked  # before the next fold's rows are allocated
     beta = linalg.lstsq(r[:width, :width], r[:width, width:], rows=x.shape[0])
@@ -223,7 +225,7 @@ def score(model: ElmModel, x) -> np.ndarray:
     """Raw network output per sample (one float each).
 
     Rows go through the hidden layer and the output product one block of
-    _BLOCK_ROWS at a time. A row's score does not depend on the rows scored
+    _SCORE_ROWS at a time. A row's score does not depend on the rows scored
     with it: every block's row count is a multiple of 8, the last block
     zero-padded (see _ROW_MULTIPLE). A non-finite feature value raises
     DataError naming its row.
@@ -237,8 +239,8 @@ def score(model: ElmModel, x) -> np.ndarray:
         )
     params = model.params
     scores = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _BLOCK_ROWS):
-        block = x[start : start + _BLOCK_ROWS]
+    for start in range(0, x.shape[0], _SCORE_ROWS):
+        block = x[start : start + _SCORE_ROWS]
         _check_finite(block, start)
         n_rows = block.shape[0]
         if n_rows % _ROW_MULTIPLE:

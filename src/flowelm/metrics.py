@@ -97,8 +97,8 @@ def auc_roc(y_true, scores) -> float:
     # time, so no temporary but the sorted scores is longer than a block.
     sorted_scores = np.sort(s)
     twice_rank_sum = n_pos
-    for start in range(0, s.shape[0], elm._BLOCK_ROWS):
-        positives = s[start : start + elm._BLOCK_ROWS][t[start : start + elm._BLOCK_ROWS]]
+    for start in range(0, s.shape[0], elm._SCORE_ROWS):
+        positives = s[start : start + elm._SCORE_ROWS][t[start : start + elm._SCORE_ROWS]]
         twice_rank_sum += int(np.searchsorted(sorted_scores, positives, "left").sum())
         twice_rank_sum += int(np.searchsorted(sorted_scores, positives, "right").sum())
     rank_sum = twice_rank_sum / 2

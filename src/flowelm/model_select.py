@@ -10,7 +10,6 @@ change any number.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -158,6 +157,8 @@ def grid_search(data: FlowDataset, spec: GridSpec, workers: int = 1) -> GridResu
     dealing or scaling a fold fails every configuration still running.
     Results are identical whatever `workers` is set to.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: evaluate and score never search
+
     configs = configurations(spec)
     results: list = [[] for _ in configs]  # per configuration: its fold scores, or its error message
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -599,9 +599,9 @@ def write_capture(path, features, labels, names):
 class TestBoundedMemory:
     """evaluate holds a label byte and a score per usable row, plus one chunk."""
 
-    def test_evaluate_peak_grows_by_a_label_and_a_score_per_row(self, tmp_path):
+    def test_evaluate_peak_is_the_report_plus_one_chunk(self, tmp_path):
         rs = np.random.RandomState(12)
-        n, m = 3 * elm_mod._BLOCK_ROWS, 12
+        n, m = 24576, 12
         names = tuple(f"f{j}" for j in range(m))
         features = rs.randn(4 * n, m)
         labels = (features[:, 0] + 0.5 * rs.randn(4 * n) > 0).astype(int)
@@ -631,11 +631,12 @@ class TestBoundedMemory:
             assert f"n_samples={rows}\n" in out
             return peak
 
-        peak(n)  # the first run's one-time allocations stay out of the comparison
-        growth = peak(4 * n) - peak(n)
-        # measured 0.69 MB for the 3n added rows' 0.66 MB of labels and
-        # scores; 18 MB while evaluate held the decoded rows and their copy
-        assert growth < 3 * n * (1 + 8) + (512 << 10), f"peak grew by {growth} bytes"
+        peak(n)  # the first run's one-time allocations stay out of the measure
+        # The report holds 18 bytes a row: a label byte and a score, the
+        # threshold test's bool and the AUC's sorted scores. Measured 1.90 MB
+        # at 4n rows; 3.45 MB while evaluate scored chunks of 8192 rows
+        peak_4n = peak(4 * n)
+        assert peak_4n < 4 * n * 18 + (512 << 10), f"peak {peak_4n} bytes"
 
 
 class TestChunkSize:
@@ -675,7 +676,7 @@ class TestChunkSize:
         report = directory / f"{csv}-{rows}.report"
         with monkeypatch.context() as patch:
             if rows is not None:
-                patch.setattr(elm_mod, "_BLOCK_ROWS", rows)
+                patch.setattr(elm_mod, "_SCORE_ROWS", rows)
             code, out, err = run_in_process("evaluate", "--model", str(model), "--input", str(directory / csv),
                                             "--report", str(report))
         return code, out.replace(str(report), "REPORT"), err, report.read_bytes() if report.exists() else None
@@ -1150,6 +1151,29 @@ class TestDependencies:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['flowelm']\n"
+
+    def test_evaluate_and_score_load_no_openssl_and_no_thread_pool(self, small_synth_csv, tmp_path):
+        """hashlib (OpenSSL's _hashlib) and concurrent.futures load only
+        when a command uses them: train's fingerprint, grid's workers."""
+        code = (
+            "import sys\n"
+            "from flowelm import cli\n"
+            "cli.main(sys.argv[1:])\n"
+            "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+
+        def loaded(*args):
+            result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                                    env=cli_env())
+            return result.stdout.splitlines()[-1]
+
+        model, header = tmp_path / "m.flowelm", tmp_path / "header.csv"
+        header.write_text(small_synth_csv.read_text().partition("\n")[0] + "\n")
+        assert loaded("train", "--input", str(small_synth_csv), "--model", str(model), "--hidden", "8") == "['_hashlib']"
+        fingerprint = dataio.load_model(model).fingerprint
+        assert len(fingerprint) == 64 and set(fingerprint) <= set("0123456789abcdef")
+        assert loaded("evaluate", "--model", str(model), "--input", str(header)) == "[]"
+        assert loaded("score", "--model", str(model), "--input", str(header)) == "[]"
 
 
 class TestConfigFile:

@@ -383,7 +383,7 @@ class TestModelArtifact:
         )
         limit = artifact._limit
         assert 1e150 < limit < 1e160
-        rows = np.ones((elm._BLOCK_ROWS, 4))
+        rows = np.ones((elm._SCORE_ROWS, 4))
         rows[:, [0, 2, 3]] = limit  # every kept value at the limit: scored, with no warning
         rows[1::2, 2] = -limit
         rows[5, 3] = np.nextafter(limit, np.inf)
@@ -523,15 +523,15 @@ class TestBoundedMemory:
 
 class TestChunks:
     """load_csv_chunks hands out the decoding pass's buffers whole: every
-    chunk but the last holds at least elm._BLOCK_ROWS rows and fewer than
-    elm._BLOCK_ROWS + _BLOCK_LINES, and the chunks end to end are
+    chunk but the last holds at least elm._SCORE_ROWS rows and fewer than
+    elm._SCORE_ROWS + _BLOCK_LINES, and the chunks end to end are
     load_csv's rows, bit for bit."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("chunks")
         rs = np.random.RandomState(9)
-        x = rs.randn(elm._BLOCK_ROWS + 700, 3)
+        x = rs.randn(elm._SCORE_ROWS + 700, 3)
         cells = [[repr(v) for v in row] for row in x.tolist()]
         labels = ["DDoS" if row[0] > 0 else "Benign" for row in x.tolist()]
 
@@ -549,11 +549,11 @@ class TestChunks:
 
     @pytest.mark.parametrize("chunk_rows", [8, 64, 72, None])  # 72: chunks that end inside a parse block
     def test_chunks_end_to_end_are_load_csvs_rows(self, files, chunk_rows):
-        rows = chunk_rows or elm._BLOCK_ROWS
+        rows = chunk_rows or elm._SCORE_ROWS
         for path in files:
             ds = dataio.load_csv(path)
             layout = RecordLayout.from_feature_names(ds.feature_names)
-            with mock.patch.object(elm, "_BLOCK_ROWS", rows):
+            with mock.patch.object(elm, "_SCORE_ROWS", rows):
                 chunks = list(dataio.load_csv_chunks(path, CsvSchema(), layout))
             assert len(chunks) > 1
             assert all(rows <= len(labels) < rows + dataio._BLOCK_LINES for _, labels in chunks[:-1])
@@ -657,7 +657,7 @@ class TestBlockParser:
 
     @settings(max_examples=400, deadline=None)
     @given(case=labeled_files(), given_layout=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]),
-           chunk_rows=st.sampled_from([8, 16, elm._BLOCK_ROWS]))
+           chunk_rows=st.sampled_from([8, 16, elm._SCORE_ROWS]))
     def test_load_csv_equals_per_record_decoding(self, tmp_path_factory, case, given_layout, block_lines,
                                                  chunk_rows):
         schema, columns, data = case
@@ -667,7 +667,7 @@ class TestBlockParser:
         with per_record():
             expected = load_outcome(path, schema, layout)
         with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
-            with mock.patch.object(elm, "_BLOCK_ROWS", chunk_rows):  # the decoding pass's chunk size
+            with mock.patch.object(elm, "_SCORE_ROWS", chunk_rows):  # the decoding pass's chunk size
                 assert load_outcome(path, schema, layout) == expected
 
     @settings(max_examples=300, deadline=None)

@@ -170,7 +170,7 @@ class TestFit:
     @pytest.mark.parametrize("activation", list(Activation))
     def test_multi_block_beta_equals_pseudoinverse_solution(self, activation):
         rs = np.random.RandomState(13)
-        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 6)
+        x = rs.randn(4 * elm._FOLD_ROWS + 5, 6)
         y = (x[:, 0] + rs.randn(len(x)) > 0).astype(int)
         model = elm.fit(x, y, params(hidden=32, activation=activation, seed=4))
         h = elm.hidden_layer(x, model.input_weights, model.biases, activation)
@@ -179,7 +179,7 @@ class TestFit:
 
     def test_wide_multi_block_beta_equals_pseudoinverse_solution(self, monkeypatch):
         # 40 rows, 100 nodes: every fold adds rows to an R that is still wide
-        monkeypatch.setattr(elm, "_BLOCK_ROWS", 8)
+        monkeypatch.setattr(elm, "_FOLD_ROWS", 4)
         rs = np.random.RandomState(14)
         x = rs.randn(40, 6)
         y = rs.randint(0, 2, 40)
@@ -192,14 +192,19 @@ class TestFit:
         # H = U diag(1, 1, 1, 1e-13) V^T with m rows and 4 columns. 1e-13 lies
         # above EPS * 5 (the cutoff for R's shape) and below EPS * m (H's own),
         # so the fit must drop it.
-        m = 2 * elm._BLOCK_ROWS + 5
+        m = 4 * elm._FOLD_ROWS + 5
         rs = np.random.RandomState(15)
         u = np.linalg.qr(rs.randn(m, 4))[0]
         v = np.linalg.qr(rs.randn(4, 4))[0]
         sigma = np.array([1.0, 1.0, 1.0, 1e-13])
         assert linalg.EPS * 5 < sigma[3] < linalg.EPS * m
         h = (u * sigma) @ v.T
-        monkeypatch.setattr(elm, "hidden_layer", lambda x, *args: h[x[:, 0].astype(int)])
+
+        def rows_of_h(x, *args, out):
+            out[...] = h[x[:, 0].astype(int)]
+            return out
+
+        monkeypatch.setattr(elm, "hidden_layer", rows_of_h)
         y = rs.randint(0, 2, m)
         model = elm.fit(np.arange(m, dtype=float).reshape(-1, 1), y, params(hidden=4))
         t = y.reshape(-1, 1).astype(float)
@@ -208,19 +213,35 @@ class TestFit:
 
     def test_repeated_multi_block_fit_bytes_identical(self):
         rs = np.random.RandomState(16)
-        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 5)
+        x = rs.randn(4 * elm._FOLD_ROWS + 5, 5)
         y = rs.randint(0, 2, len(x))
         first = elm.fit(x, y, params(hidden=48, seed=8))
         second = elm.fit(x, y, params(hidden=48, seed=8))
         assert first.output_weights.tobytes() == second.output_weights.tobytes()
 
-    @pytest.mark.parametrize("block_rows", [8, 1000])
-    def test_block_size_moves_beta_only_in_rounding(self, monkeypatch, block_rows):
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_fit_bytes_equal_a_fold_of_copied_hidden_layers(self, activation):
+        # the reference stacks a copy of each fold's hidden layer under R;
+        # fit writes the layer into its fold buffer, with the same bits
+        rs = np.random.RandomState(18)
+        x = rs.randn(2 * elm._FOLD_ROWS + 5, 9)
+        y = (x[:, 0] + rs.randn(len(x)) > 0).astype(int)
+        p = params(hidden=40, activation=activation, seed=5, gamma=0.1)
+        w, b = elm.init_random(p, x.shape[1])
+        r = np.empty((0, 41))
+        for start in range(0, len(x), elm._FOLD_ROWS):
+            h = elm.hidden_layer(x[start : start + elm._FOLD_ROWS], w, b, activation, p.rbf_gamma)
+            r = np.linalg.qr(np.vstack([r, np.column_stack([h, y[start : start + elm._FOLD_ROWS]])]), mode="r")
+        beta = linalg.lstsq(r[:40, :40], r[:40, 40:], rows=len(x))
+        assert elm.fit(x, y, p).output_weights.tobytes() == beta.tobytes()
+
+    @pytest.mark.parametrize("fold_rows", [4, 500])
+    def test_block_size_moves_beta_only_in_rounding(self, monkeypatch, fold_rows):
         rs = np.random.RandomState(17)
         x = rs.randn(3000, 6)
         y = (x[:, 1] > 0).astype(int)
         ref = elm.fit(x, y, params(hidden=40, seed=9)).output_weights
-        monkeypatch.setattr(elm, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(elm, "_FOLD_ROWS", fold_rows)
         beta = elm.fit(x, y, params(hidden=40, seed=9)).output_weights
         assert np.linalg.norm(beta - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -271,7 +292,7 @@ class TestScorePredict:
             elm.score(model, bad)
         with pytest.raises(DataError, match="row 13$"):
             elm.predict(model, bad)
-        monkeypatch.setattr(elm, "_BLOCK_ROWS", 8)  # row 13 sits in the second block
+        monkeypatch.setattr(elm, "_SCORE_ROWS", 8)  # row 13 sits in the second block
         with pytest.raises(DataError, match="row 13$"):
             elm.score(model, bad)
 
@@ -317,13 +338,13 @@ class TestScoreIndependentOfBatch:
             blocks = [elm.score(model, x[i : i + size]) for i in range(0, len(x), size)]
             assert np.concatenate(blocks).tobytes() == full, f"blocks of {size} rows"
         assert elm.score(model, x[:200]).tobytes() == full[: 200 * 8]
-        monkeypatch.setattr(elm, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(elm, "_SCORE_ROWS", 16)
         assert elm.score(model, x).tobytes() == full, "blocks of 16 rows inside score"
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_rows_across_blocks_keep_their_bits(self, activation):
         rs = np.random.RandomState(9)
-        x = rs.randn(2 * elm._BLOCK_ROWS + 5, 7)
+        x = rs.randn(2 * elm._SCORE_ROWS + 5, 7)
         model = elm.fit(x[:500], (x[:500, 0] > 0).astype(int), params(24, activation, seed=3))
         full = elm.score(model, x).tobytes()
         assert np.concatenate([elm.score(model, x[i : i + 1]) for i in range(len(x))]).tobytes() == full
@@ -337,7 +358,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("step", ["fit", "score"])
     def test_peak_allocation_under_half_of_h(self, step):
         rs = np.random.RandomState(11)
-        x = rs.randn(3 * elm._BLOCK_ROWS + 5, 10)
+        x = rs.randn(6 * elm._FOLD_ROWS + 5, 10)
         y = (x[:, 0] > 0).astype(int)
         p = params(hidden=512, seed=1)
         model = elm.fit(x[:600], y[:600], p) if step == "score" else None
