@@ -1,104 +1,3 @@
 """flowelm: extreme-learning-machine detector for DDoS traffic in flow records."""
 
 __version__ = "0.1.0"
-
-from .elm import Activation, ElmModel, ElmParams, fit, hidden_layer, init_random, predict, score
-from .errors import (
-    DataError,
-    FlowElmError,
-    IntegrityError,
-    NumericError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    StratificationError,
-    UnsupportedVersionError,
-)
-from .linalg import lstsq, pseudoinverse
-from .metrics import ConfusionMatrix, EvalReport, accuracy, auc_roc, confusion, evaluate, prf1
-from .model_select import (
-    GridEntry,
-    GridResult,
-    GridSpec,
-    grid_search,
-    kfold_indices,
-)
-from .preprocess import (
-    FeatureSelection,
-    FlowDataset,
-    ScalerState,
-    SplitResult,
-    apply_scaler,
-    clean,
-    fit_scaler,
-    select_features,
-    split,
-)
-from .dataio import (
-    ATTACK_CATEGORIES,
-    CsvSchema,
-    ModelArtifact,
-    SyntheticSpec,
-    fingerprint,
-    generate_synthetic,
-    load_csv,
-    load_model,
-    save_model,
-    write_csv,
-)
-from .rng import Rng, derive_seed
-
-__all__ = [
-    "Activation",
-    "ATTACK_CATEGORIES",
-    "ConfusionMatrix",
-    "CsvSchema",
-    "DataError",
-    "ElmModel",
-    "ElmParams",
-    "EvalReport",
-    "FeatureSelection",
-    "FlowDataset",
-    "FlowElmError",
-    "GridEntry",
-    "GridResult",
-    "GridSpec",
-    "IntegrityError",
-    "ModelArtifact",
-    "NumericError",
-    "ParseError",
-    "Rng",
-    "ScalerState",
-    "SchemaError",
-    "ShapeError",
-    "SplitResult",
-    "StratificationError",
-    "SyntheticSpec",
-    "UnsupportedVersionError",
-    "accuracy",
-    "apply_scaler",
-    "auc_roc",
-    "clean",
-    "confusion",
-    "derive_seed",
-    "evaluate",
-    "fingerprint",
-    "fit",
-    "fit_scaler",
-    "generate_synthetic",
-    "grid_search",
-    "hidden_layer",
-    "init_random",
-    "kfold_indices",
-    "load_csv",
-    "load_model",
-    "lstsq",
-    "predict",
-    "prf1",
-    "pseudoinverse",
-    "save_model",
-    "score",
-    "select_features",
-    "split",
-    "write_csv",
-]

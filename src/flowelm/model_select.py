@@ -19,7 +19,7 @@ from . import metrics
 from . import elm
 from .elm import Activation, ElmParams
 from .errors import DataError, FlowElmError, StratificationError
-from .preprocess import FlowDataset, apply_scaler, fit_scaler, scale_in_place, stratified_deal
+from .preprocess import FlowDataset, fit_scaler, scale_in_place, stratified_deal
 from .rng import derive_seed, float_bits
 
 DEFAULT_HIDDEN_NODES = (16, 32, 64, 128, 256, 512, 1024)
@@ -132,12 +132,13 @@ def _leaderboard_key(entry: GridEntry):
 def _fold_outcomes(pool, data: FlowDataset, train_idx, valid_idx, jobs, metric: str) -> list:
     """Per configuration in `jobs`: its metric on one fold, or the message
     of the error its fit raised. The fold's rows are scaled once, by a
-    scaler fitted on its training rows, whose fancy-index copy is scaled in
-    place, and go on return."""
+    scaler fitted on its training rows: each side's fancy-index copy is
+    scaled in place, and goes on return."""
     x_train, y_train = data.features[train_idx], data.labels[train_idx]
+    x_valid, y_valid = data.features[valid_idx], data.labels[valid_idx]
     scaler = fit_scaler(x_train)
     scale_in_place(scaler, x_train)
-    x_valid, y_valid = apply_scaler(scaler, data.features[valid_idx]), data.labels[valid_idx]
+    scale_in_place(scaler, x_valid)
 
     def outcome(params: ElmParams) -> float | str:
         try:

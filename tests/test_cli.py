@@ -1152,6 +1152,18 @@ class TestDependencies:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['flowelm']\n"
 
+    def test_the_package_loads_no_submodule_and_no_numpy(self):
+        """`import flowelm` loads its `__version__` and nothing else: callers
+        import the submodules they use."""
+        code = (
+            "import sys\n"
+            "import flowelm\n"
+            "print(sorted(name for name in sys.modules if name == 'numpy' or name.startswith(('numpy.', 'flowelm.'))))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_evaluate_and_score_load_no_openssl_and_no_thread_pool(self, small_synth_csv, tmp_path):
         """hashlib (OpenSSL's _hashlib) and concurrent.futures load only
         when a command uses them: train's fingerprint, grid's workers."""

@@ -645,6 +645,17 @@ def load_outcome(path, schema, layout):
     return ds.features.tobytes(), ds.labels.tobytes(), ds.feature_names
 
 
+def chunks_outcome(path, schema, layout):
+    """load_csv_chunks' rows in load_outcome's form: the chunks' features
+    and labels (as int64) joined, or the error's type and message."""
+    try:
+        chunks = list(dataio.load_csv_chunks(path, schema, layout))
+    except DataError as exc:  # ParseError included
+        return type(exc).__name__, str(exc)
+    return (b"".join(features.tobytes() for features, _ in chunks),
+            b"".join(labels.astype(np.int64).tobytes() for _, labels in chunks), layout.feature_names)
+
+
 def per_record():
     """Every record decoded on its own, as before blocks: no block parser."""
     return mock.patch.object(dataio, "_block_parser", lambda *args, **kwargs: None)
@@ -667,8 +678,10 @@ class TestBlockParser:
         with per_record():
             expected = load_outcome(path, schema, layout)
         with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
-            with mock.patch.object(elm, "_SCORE_ROWS", chunk_rows):  # the decoding pass's chunk size
+            with mock.patch.object(elm, "_SCORE_ROWS", chunk_rows):  # load_csv_chunks' chunk size
                 assert load_outcome(path, schema, layout) == expected
+                if given_layout:
+                    assert chunks_outcome(path, schema, layout) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(delimiter=BLOCK_DELIMITERS, header=st.booleans(), block_lines=st.sampled_from([1, 4, 5, 7, 64]),
