@@ -141,10 +141,9 @@ def _schema_from_args(args, base: dataio.CsvSchema | None = None) -> dataio.CsvS
 
 
 def _scored(artifact: dataio.ModelArtifact, features):
-    """The artifact's transform of decoded rows, then elm.score on the rows
-    it lets through: (scores, rows, finite), as transform's rows and finite."""
+    """transform's (x, rows, finite) of decoded rows, with x replaced by its scores from elm's block step."""
     x, rows, finite = artifact.transform(features)
-    return elm_mod.score(artifact.model, x), rows, finite
+    return elm_mod._score_blocks(artifact.model, x), rows, finite
 
 
 def _staged(stage: str, chunks):
@@ -344,28 +343,24 @@ def _verdict_lines(artifact: dataio.ModelArtifact, first: int, records, rows, th
     """The verdict lines of `records`, numbered from ordinal `first`: per
     record its ERROR reason, or None for a record of the decoded `rows`
     (flat, in order), the rows that the artifact's transform lets through
-    scored in one model evaluation; and how many lines are ERROR."""
-    outcomes = []  # per decoded row: its score, or the reason it gets ERROR
+    scored in one model evaluation; and how many lines are ERROR. A scored
+    line holds its score in dataio.format_float's digits, then 1 if the
+    score reaches the threshold, else 0."""
+    outcomes = scores = []  # per decoded row, then per record: its score, or its ERROR reason
     if rows:
         scores, scored, finite = _scored(artifact, rows)
-        outcomes = [
-            "numeric field overflows when scaled" if ok else "unparseable or non-finite numeric field"
-            for ok in finite.tolist()
-        ]
-        for i, value in zip(scored.tolist(), scores.tolist()):
-            outcomes[i] = value
-    outcomes = iter(outcomes)
-    lines = []
-    errors = 0
-    for ordinal, row in enumerate(records, first):
-        if row is None:
-            row = next(outcomes)
-        if isinstance(row, str):
-            lines.append(f"{ordinal},ERROR,{row}\n")
-            errors += 1
-        else:
-            lines.append(f"{ordinal},{dataio.format_float(row)},{1 if row >= threshold else 0}\n")
-    return "".join(lines), errors
+        outcomes = scores = scores.tolist()
+        if len(scores) < len(finite):  # some decoded row failed: each gets its reason
+            outcomes = ["numeric field overflows when scaled" if ok else "unparseable or non-finite numeric field"
+                        for ok in finite.tolist()]
+            for i, value in zip(scored.tolist(), scores):
+                outcomes[i] = value
+    if len(outcomes) < len(records):  # some record failed before decoding
+        decoded = iter(outcomes)
+        outcomes = [next(decoded) if row is None else row for row in records]
+    return "".join([f"{ordinal},ERROR,{value}\n" if isinstance(value, str) else
+                    "%d,%.17g,%d\n" % (ordinal, value, value >= threshold)
+                    for ordinal, value in enumerate(outcomes, first)]), len(records) - len(scores)
 
 
 def cmd_score(args) -> int:

@@ -164,9 +164,9 @@ class RecordLayout:
 
 
 # Lines per block that load_csv and score hand to one np.loadtxt call. A
-# block that falls back (see _block_parser) is decoded per record, so the
-# size changes no result, only the time: every bad cell sends its whole
-# block down the per-record path, and each call has a fixed cost.
+# block that falls back (see _block_parser) is decoded per record, after
+# load_csv parses its halves again, so the size changes no result, only
+# the time: each call has a fixed cost.
 _BLOCK_LINES = 64
 # Fewer non-blank lines than this are decoded per record, which costs less
 # below it: one 14-cell line took 4-6 us that way against 9 us in the call,
@@ -316,9 +316,9 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None, chu
     whitespace), 1 otherwise. With a given layout, the header's feature
     columns must match it, and a row with an unknown category value becomes
     a row of NaN markers. An all-numeric layout's rows are parsed
-    _BLOCK_LINES lines at a time (see _block_parser); a block that falls
-    back is decoded per record, and from the first block that holds a quote
-    on, the rest of the file is. A file without data rows is a DataError.
+    _BLOCK_LINES lines at a time (see _block_parser and parse_runs); from
+    the first block that holds a quote on, the rest of the file is decoded
+    per record. A file without data rows is a DataError.
     """
     records = _read_rows(fh, path, schema.delimiter)
     line_no, header = next(records, (0, None))
@@ -378,24 +378,33 @@ def _decoding_pass(fh, path, schema: CsvSchema, layout: RecordLayout | None, chu
             if len(labels) >= chunk_rows:
                 yield take()
 
+    def parse_runs(lines, line_no):
+        """The rows of `lines`, a block that holds no quote and follows line
+        `line_no`: parsed at once, or else each half in turn, halved while
+        the parser falls back on at least 2 * _BLOCK_MIN_LINES lines."""
+        block = parse(b"".join(lines))
+        if block is None and len(lines) >= 2 * _BLOCK_MIN_LINES:
+            half = len(lines) // 2
+            yield from parse_runs(lines[:half], line_no)
+            yield from parse_runs(lines[half:], line_no + half)
+        elif block is None:
+            yield from decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
+        else:
+            values.frombytes(block[0].tobytes())
+            labels.extend(map(benign.__ne__, map(str.lower, block[1])))
+            if len(labels) >= chunk_rows:
+                yield take()
+
     parse = _block_parser(layout, len(header), dropped, schema.delimiter, label_pos)
     if parse is None:
         yield from decode_rows(records)
     else:  # `records` has read no further than the header, so the blocks start after it
         while lines := [line for _, line in zip(range(_BLOCK_LINES), fh)]:
-            text = b"".join(lines)
-            block = parse(text)
-            if block is not None:
-                values.frombytes(block[0].tobytes())
-                labels.extend(map(benign.__ne__, map(str.lower, block[1])))
-                if len(labels) >= chunk_rows:
-                    yield take()
-            elif b'"' in text:  # a quoted cell may hold a line break: csv.reader reads the rest
+            if b'"' in b"".join(lines):  # a quoted cell may hold a line break: csv.reader reads the rest
                 yield from decode_rows(_read_rows((line for part in (lines, fh) for line in part),
                                                   path, schema.delimiter, line_no))
                 break
-            else:
-                yield from decode_rows(_read_rows(lines, path, schema.delimiter, line_no))
+            yield from parse_runs(lines, line_no)
             line_no += len(lines)
     if labels:
         yield take()
@@ -493,12 +502,17 @@ class ModelArtifact:
         # from a row can overflow, whatever the activation. For k kept
         # columns of at most this magnitude, input weights of at most w and
         # an RBF width gamma, gamma * ||x||^2 (in the RBF distance) is at
-        # most float max / 16, and x @ w and elm.score's finiteness sum over
-        # one scoring block are at most elm._SCORE_ROWS * sqrt(k * float max).
+        # most float max / 16, and x @ w and the sum of a scoring block's
+        # values are at most elm._SCORE_ROWS * sqrt(k * float max).
         w = max(1.0, float(np.abs(self.model.input_weights).max()))
         gamma = max(1.0, self.model.params.rbf_gamma)
         limit = math.sqrt(np.finfo(np.float64).max / (len(kept) * gamma)) / (4.0 * w)
         object.__setattr__(self, "_limit", limit)
+        # A sum of squares of decoded values below this square proves every
+        # value finite and within `bound`, so a kept one scales to at most
+        # (bound + |mean|) / std <= limit / 2, rounding included.
+        bound = min(1e150, float(np.min(limit / 2 * self.scaler.stds - np.abs(self.scaler.means))))
+        object.__setattr__(self, "_clean_squares", bound * bound if bound > 0 else -1.0)
 
     def transform(self, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Model input from decoded rows (2-D, or end to end in a flat
@@ -506,14 +520,17 @@ class ModelArtifact:
 
         `finite` marks, per decoded row, that every decoded column is finite,
         those the model dropped included. `x` holds the kept columns of the
-        finite rows, taken in one fancy index and z-scored in place, less any
-        row with a scaled value that overflows, or that is large enough for
-        the model's hidden layer to overflow; `rows` are the indices of the
-        rows in `x`. A row not in `rows` is never scored.
+        finite rows, taken in one copy and z-scored in place, less any row
+        with a scaled value that overflows, or that is large enough for the
+        model's hidden layer to overflow; `rows` are the indices of the rows
+        in `x`. A row not in `rows` is never scored.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:  # decoded rows end to end, as score gathers them
             features = features.reshape(-1, len(self.feature_names))
+        if np.vdot(features, features) < self._clean_squares:  # no row mask and no screen needed
+            x = scale_in_place(self.scaler, features.take(self._kept, axis=1))
+            return x, np.arange(len(features)), np.ones(len(features), dtype=bool)
         finite = np.isfinite(features).all(axis=1)
         rows = np.flatnonzero(finite)
         x = features[rows[:, None], self._kept]

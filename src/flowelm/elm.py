@@ -137,7 +137,11 @@ def hidden_layer(
         raise ShapeError(f"cannot combine samples {x.shape} with weights {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"biases shaped {b.shape}, expected {(1, w.shape[1])}")
+    return _layer(x, w, b, activation, rbf_gamma, out)
 
+
+def _layer(x, w, b, activation: Activation, rbf_gamma: float, out=None) -> np.ndarray:
+    """hidden_layer's responses, for float64 arrays it has checked."""
     z = np.matmul(x, w, out=out)
     if activation is Activation.TANH:
         z += b
@@ -172,9 +176,8 @@ def _check_labels(y, n_rows: int) -> np.ndarray:
 def _check_finite(x: np.ndarray, first_row: int) -> None:
     """Raise DataError naming the first row of x, counted from first_row,
     that holds a non-finite value."""
-    # A finite sum proves every value finite, at half the cost of isfinite
-    # for the few rows of a stream read; only a sum that is not (a NaN or
-    # inf, or an overflow of finite values) needs the row-by-row check.
+    # A finite sum proves every value finite, at half the cost of isfinite;
+    # only a sum that is not (NaN, inf, or an overflow) needs the row check.
     if math.isfinite(np.add.reduce(x, axis=None)):
         return
     finite = np.isfinite(x).all(axis=1)
@@ -237,18 +240,23 @@ def score(model: ElmModel, x) -> np.ndarray:
         raise ShapeError(
             f"model expects {model.n_features} features, got {x.shape[1]}"
         )
+    _check_finite(x, 0)
+    return _score_blocks(model, x)
+
+
+def _score_blocks(model: ElmModel, x: np.ndarray) -> np.ndarray:
+    """score()'s padded block step, for 2-D float64 rows of the model's width, checked finite."""
     params = model.params
     scores = np.empty(x.shape[0])
     for start in range(0, x.shape[0], _SCORE_ROWS):
         block = x[start : start + _SCORE_ROWS]
-        _check_finite(block, start)
         n_rows = block.shape[0]
         if n_rows % _ROW_MULTIPLE:
             padded = np.zeros((n_rows + _ROW_MULTIPLE - n_rows % _ROW_MULTIPLE, x.shape[1]))
             padded[:n_rows] = block
             block = padded
         scores[start : start + n_rows] = (
-            hidden_layer(block, model.input_weights, model.biases, params.activation, params.rbf_gamma)
+            _layer(block, model.input_weights, model.biases, params.activation, params.rbf_gamma)
             @ model.output_weights
         )[:n_rows, 0]
     return scores

@@ -1,3 +1,4 @@
+import array
 import contextlib
 import io
 import math
@@ -7,17 +8,22 @@ import sys
 import time
 import tracemalloc
 import types
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 from flowelm import cli as cli_mod
-from flowelm import dataio, model_select, preprocess
+from flowelm import dataio, metrics, model_select, preprocess
 from flowelm import elm as elm_mod
 from flowelm.cli import format_report
-from flowelm.elm import Activation
+from flowelm.elm import Activation, ElmParams
 from flowelm.metrics import ConfusionMatrix, EvalReport
+from flowelm.preprocess import FeatureSelection, ScalerState
 
 
 def read_report(path):
@@ -748,6 +754,26 @@ class TestValueThatOverflowsWhenScaled:
         assert "1 malformed record(s)" in result.stderr
         assert "Warning" not in result.stderr
 
+    def test_score_and_evaluate_raise_no_warning_in_process(self, files, tmp_path, capsys):
+        """Under warnings.simplefilter("error"), in this process: values that
+        overflow when scaled or squared (1.7e308 twice), and an inf and a -inf
+        in one block. A lost np.errstate, or a sum of squares that reports
+        the overflow, raises here."""
+        model, dirty = files
+        lines = dirty.read_text().splitlines()
+        for row, (cell, value) in zip((5, 9, 12, 20), [(1, "1.7e308"), (1, "1.7e308"), (0, "inf"), (0, "-inf")]):
+            cells = lines[row].split(",")
+            cells[cell] = value
+            lines[row] = ",".join(cells)
+        dirtier = tmp_path / "dirtier.csv"
+        dirtier.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_mod.main(["score", "--model", str(model), "--input", str(dirtier)]) == 0
+            assert capsys.readouterr().out.count(",ERROR,") == 5
+            assert cli_mod.main(["evaluate", "--model", str(model), "--input", str(dirtier)]) == 0
+        assert "skipped 3 record(s) with a value that overflows when scaled" in capsys.readouterr().err
+
 
 class TestValueNearTheFloatMaximum:
     """A scaled value large enough for the hidden layer to overflow fails
@@ -864,6 +890,88 @@ class TestOneFailClosedPath:
         assert sorted(row for row, _, _ in spoils) == sorted(set(range(59)) - set(rows.tolist()))
         scores = [v[1] for v in verdicts if v[1] != "ERROR"]
         assert scores == [dataio.format_float(s) for s in elm_mod.score(artifact.model, x)]
+
+
+class TestVerdictKernel:
+    """score's verdict lines and evaluate's kept labels and scores carry the
+    bits of the separate steps: the per-row finite mask, apply_scaler, the
+    overflow screen, then elm.score on the rows they keep."""
+
+    ARTIFACTS = {}
+
+    @classmethod
+    def artifact(cls, activation):
+        """Four columns, the second dropped; the first column's spread of
+        0.001 makes 1e308 overflow when scaled, 1e160 to 3e150 fail the
+        screen, and 1e150 and below pass it; 5e149 and -9e149 are under the
+        bound (9.7e149) below which a block needs no mask and no screen."""
+        if activation not in cls.ARTIFACTS:
+            rs = np.random.RandomState(4)
+            x = rs.randn(80, 3)
+            params = ElmParams(hidden_nodes=12, activation=activation, seed=5, rbf_gamma=0.5)
+            cls.ARTIFACTS[activation] = dataio.ModelArtifact(
+                model=elm_mod.fit(x, (x[:, 0] + x[:, 2] > 0).astype(int), params),
+                selection=FeatureSelection(kept_indices=(0, 2, 3), correlations=np.array([0.5, 0.0, 0.3, 0.2])),
+                scaler=ScalerState(means=np.array([0.2, -1.0, 3.0]), stds=np.array([0.001, 2.0, 0.5])),
+                schema=dataio.CsvSchema(), feature_names=("a", "b", "c", "d"), seed=5,
+            )
+        return cls.ARTIFACTS[activation]
+
+    @settings(max_examples=150, deadline=None)
+    @given(activation=st.sampled_from(list(Activation)), n_rows=st.integers(1, 2100),
+           seed=st.integers(0, 2**32 - 1), odd_share=st.sampled_from([0.0, 0.001, 0.02, 0.3]),
+           threshold=st.floats(-0.5, 1.5), chunk_rows=st.sampled_from([1, 7, 64, elm_mod._SCORE_ROWS]))
+    def test_verdicts_and_evaluate_equal_the_separate_steps(self, activation, n_rows, seed, odd_share,
+                                                             threshold, chunk_rows):
+        artifact = self.artifact(activation)
+        rs = np.random.RandomState(seed)
+        features = rs.randn(n_rows, 4) * 3.0
+        odd = rs.random_sample(features.shape) < odd_share
+        features[odd] = rs.choice([np.nan, np.inf, -np.inf, 1e308, -1e308, 1e160, 1e153, 3e150, 1e150, 5e149,
+                                   -9e149], odd.sum())
+        labels = rs.randint(0, 2, n_rows).astype(np.uint8)
+
+        finite = np.isfinite(features).all(axis=1)
+        with np.errstate(over="ignore"):
+            x = preprocess.apply_scaler(artifact.scaler,
+                                        features[finite][:, list(artifact.selection.kept_indices)])
+        in_range = (np.abs(x) <= artifact._limit).all(axis=1)
+        scores = elm_mod.score(artifact.model, x[in_range])
+        kept = np.flatnonzero(finite)[in_range]
+
+        # the stream: decoded rows among records that failed before decoding
+        records = [None] * n_rows
+        for i in sorted(rs.choice(n_rows + 1, int(odd_share * n_rows), replace=True), reverse=True):
+            records.insert(int(i), "expected 5 fields, got 4")
+        outcomes = iter(["unparseable or non-finite numeric field" if not ok else None for ok in finite])
+        in_screen, row_scores = iter(in_range.tolist()), iter(scores.tolist())
+        expected = []
+        for ordinal, record in enumerate(records, 3):
+            reason = record or next(outcomes)
+            if reason is None:
+                reason = None if next(in_screen) else "numeric field overflows when scaled"
+            if reason is None:
+                score = next(row_scores)
+                expected.append(f"{ordinal},{dataio.format_float(score)},{1 if score >= threshold else 0}\n")
+            else:
+                expected.append(f"{ordinal},ERROR,{reason}\n")
+        flat = array.array("d", features.tobytes())
+        assert cli_mod._verdict_lines(artifact, 3, records, flat, threshold) == (
+            "".join(expected), len(records) - len(scores))
+
+        kept_rows = {}
+
+        def report(kept_labels, kept_scores, _threshold):
+            kept_rows.update(labels=kept_labels.tobytes(), scores=kept_scores.tobytes())
+
+        chunks = ((features[i : i + chunk_rows], labels[i : i + chunk_rows]) for i in range(0, n_rows, chunk_rows))
+        with mock.patch.object(metrics, "evaluate_scores", report), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli_mod._evaluate(artifact, chunks, threshold)
+            except SystemExit as exc:  # no row left to report on
+                assert (exc.code, len(kept)) == (cli_mod.EXIT_DATA, 0)
+        if len(kept):
+            assert kept_rows == {"labels": labels[kept].tobytes(), "scores": scores.tobytes()}
 
 
 class TestCategoricalModel:

@@ -774,6 +774,31 @@ class TestBlockParser:
             dataio.load_csv(path)
         assert str(raised.value) == f"{path}:{index + 2}: {message}"
 
+    @pytest.mark.parametrize("index", [0, 5, 31, 32, 63])
+    @pytest.mark.parametrize("fault", [",1.5,DDoS", "1.5,Benign", "1.5,2.5,"])
+    def test_a_bad_line_sends_only_a_few_lines_per_record(self, tmp_path, index, fault):
+        """One bad line in the second 64-line block: its block and the halves
+        that hold it are parsed again, and no more than 7 lines reach
+        RecordLayout.decode. Rows, labels and errors are the per-record ones."""
+        rs = np.random.RandomState(index)
+        lines = ["a,b,Label"] + [f"{x!r},{y!r},{'DDoS' if x > 0 else 'Benign'}"
+                                 for x, y in rs.randn(3 * dataio._BLOCK_LINES, 2).tolist()]
+        lines[1 + dataio._BLOCK_LINES + index] = fault  # an empty cell, a cell short, an empty label
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        layout = RecordLayout(("a", "b"), (None, None))
+        with per_record():
+            expected = load_outcome(path, CsvSchema(), layout)
+        real = RecordLayout.decode
+        for outcome in (load_outcome, chunks_outcome):
+            with mock.patch.object(RecordLayout, "decode", autospec=True, side_effect=real) as decode:
+                assert outcome(path, CsvSchema(), layout) == expected
+            assert decode.call_count <= 7
+        if fault == ",1.5,DDoS":
+            assert isinstance(expected[0], bytes)  # the row holds a NaN marker
+            assert np.isnan(np.frombuffer(expected[0]).reshape(-1, 2)[dataio._BLOCK_LINES + index, 0])
+        else:
+            assert expected[0] == "ParseError" and f":{dataio._BLOCK_LINES + index + 2}: " in expected[1]
+
     def test_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
         lines = [b"f1,f2,Label"] + [b"%d,1,Benign" % i for i in range(100)]
         lines[80] = b"9" * 200_000 + b",1,DDoS"  # a float to np.loadtxt
