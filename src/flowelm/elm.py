@@ -106,10 +106,8 @@ def init_random(params: ElmParams, n_features: int) -> tuple[np.ndarray, np.ndar
     """
     if n_features < 1:
         raise DataError("n_features must be >= 1")
-    rng = Rng(params.seed)
-    w = rng.uniform_matrix(n_features, params.hidden_nodes, -1.0, 1.0)
-    b = rng.uniform_matrix(1, params.hidden_nodes, -1.0, 1.0)
-    return w, b
+    drawn = Rng(params.seed).uniform_matrix(n_features + 1, params.hidden_nodes, -1.0, 1.0)
+    return drawn[:-1], drawn[-1:]
 
 
 def hidden_layer(

@@ -158,11 +158,14 @@ def grid_search(data: FlowDataset, spec: GridSpec, workers: int = 1) -> GridResu
     dealing or scaling a fold fails every configuration still running.
     Results are identical whatever `workers` is set to.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: evaluate and score never search
-
     configs = configurations(spec)
     results: list = [[] for _ in configs]  # per configuration: its fold scores, or its error message
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_context = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, not at the top: only a parallel search uses it
+
+        pool_context = ThreadPoolExecutor(max_workers=workers)
+    with pool_context as pool:
         try:
             for k, (train_idx, valid_idx) in enumerate(kfold_indices(data.labels, spec.folds, spec.seed)):
                 live = [i for i, result in enumerate(results) if isinstance(result, list)]

@@ -1274,7 +1274,8 @@ class TestDependencies:
 
     def test_evaluate_and_score_load_no_openssl_and_no_thread_pool(self, small_synth_csv, tmp_path):
         """hashlib (OpenSSL's _hashlib) and concurrent.futures load only
-        when a command uses them: train's fingerprint, grid's workers."""
+        when a command uses them: train's and grid's fingerprint, and a
+        parallel grid search's workers, which the CLI never asks for."""
         code = (
             "import sys\n"
             "from flowelm import cli\n"
@@ -1292,6 +1293,9 @@ class TestDependencies:
         assert loaded("train", "--input", str(small_synth_csv), "--model", str(model), "--hidden", "8") == "['_hashlib']"
         fingerprint = dataio.load_model(model).fingerprint
         assert len(fingerprint) == 64 and set(fingerprint) <= set("0123456789abcdef")
+        grid = ("grid", "--input", str(small_synth_csv), "--model", str(tmp_path / "g.flowelm"), "--hidden", "8",
+                "--activation", "tanh", "--folds", "2")
+        assert loaded(*grid) == "['_hashlib']"
         assert loaded("evaluate", "--model", str(model), "--input", str(header)) == "[]"
         assert loaded("score", "--model", str(model), "--input", str(header)) == "[]"
 

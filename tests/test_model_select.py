@@ -68,6 +68,20 @@ class TestStratifiedDeal:
                 assert valid_idx.tolist() == valid
                 assert train_idx.tolist() == sorted(set(range(n)) - set(valid))
 
+    @pytest.mark.parametrize("n, seed", [(5_000, 2), (20_001, 9)])
+    def test_deals_past_the_lane_crossover_follow_the_documented_deal(self, n, seed):
+        """Classes this large take their bounded draws in numpy lanes."""
+        labels = np.random.RandomState(n).randint(0, 2, n)
+        class0, class1 = reference_deal(labels, seed)
+        train_idx, test_idx = preprocess.split_indices(labels, 0.8, seed)
+        train = sorted(idx[i] for idx in (class0, class1) for i in range(int(math.floor(len(idx) * 0.8 + 0.5))))
+        assert train_idx.tolist() == train
+        assert test_idx.tolist() == sorted(set(range(n)) - set(train))
+        for k, (train_idx, valid_idx) in enumerate(model_select.kfold_indices(labels, 5, seed)):
+            valid = sorted(class0[k::5] + class1[k::5])
+            assert valid_idx.tolist() == valid
+            assert train_idx.tolist() == sorted(set(range(n)) - set(valid))
+
     def test_too_small_classes_keep_their_messages(self):
         one = FlowDataset(features=np.zeros((4, 1)), labels=[0, 1, 1, 1], feature_names=("f",))
         with pytest.raises(StratificationError, match=r"^class 0 has 1 sample\(s\); stratified split needs >= 2$"):

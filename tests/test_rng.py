@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from flowelm.rng import Rng, derive_seed, float_bits
+from flowelm.rng import _LANES_FROM, Rng, derive_seed, float_bits
 
 
 def test_same_seed_same_stream():
@@ -59,3 +60,39 @@ def test_derive_seed_stable_and_order_sensitive():
 def test_float_bits_round_trip_identity():
     for x in (0.0, 1.0, -1.5, 3.14159, 1e-300):
         assert float_bits(x) == int(np.float64(x).view(np.uint64))
+
+
+# Sizes on both sides of the lane crossover: n < _LANES_FROM loops next_u64;
+# 2550 is 50 * 51 (isqrt 50), so its last lane draws nothing.
+_LANE_SIZES = [0, 1, _LANES_FROM - 1, _LANES_FROM, _LANES_FROM + 1, 2550, 20_000, 100_003]
+
+
+@pytest.mark.parametrize("n", _LANE_SIZES)
+def test_draws_equal_next_u64_one_at_a_time(n):
+    bulk, single = Rng(n), Rng(n)
+    drawn = bulk.draws(n)
+    assert drawn.dtype == np.uint64 and drawn.shape == (n,)
+    assert drawn.tolist() == [single.next_u64() for _ in range(n)]
+    assert bulk.next_u64() == single.next_u64()
+
+
+@pytest.mark.parametrize("n", [40, _LANES_FROM + 7])
+@pytest.mark.parametrize("first, step", [(2**63, 1), (2**64 - 1, -1)])
+def test_bounded_draws_equal_randbelow_through_rejections(n, first, step):
+    """Bounds just above 2**63 reject about half of all outputs, and each
+    rejected output must be consumed as randbelow consumes it; bounds just
+    below 2**64 reach the top of the uint64 range."""
+    bounds = [first + step * k for k in range(n)]
+    bounds[::5] = [3] * len(bounds[::5])
+    bulk, single = Rng(n), Rng(n)
+    assert bulk.randbelow_each(np.array(bounds, dtype=np.uint64)).tolist() == [single.randbelow(b) for b in bounds]
+    assert bulk.next_u64() == single.next_u64()
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 5), (_LANES_FROM // 8 + 1, 8), (46, 1024)])
+def test_uniform_matrix_bits_equal_the_scalar_formula(rows, cols):
+    single = Rng(17)
+    expected = [-0.5 + 2.25 * ((single.next_u64() >> 11) * 2.0**-53) for _ in range(rows * cols)]
+    drawn = Rng(17).uniform_matrix(rows, cols, -0.5, 1.75)
+    assert drawn.shape == (rows, cols)
+    assert drawn.reshape(-1).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
