@@ -452,10 +452,20 @@ def write_csv(dataset: FlowDataset, path, schema: CsvSchema = CsvSchema()) -> No
 
 def fingerprint(dataset: FlowDataset) -> str:
     """Content hash of the numeric payload (features plus labels), read
-    from the arrays' own memory."""
-    import hashlib  # here, not at the top: OpenSSL stays out of evaluate and score
+    from the arrays' own memory: SHA-256 from the interpreter's built-in
+    module, so no command loads OpenSSL."""
+    # Imported here, not at the top: evaluate and score hash nothing.
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            # an interpreter built without its own hash modules has only
+            # OpenSSL's, through hashlib (about 3.6 MB resident)
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(memoryview(np.ascontiguousarray(dataset.features)))
     digest.update(b"|")
     digest.update(memoryview(np.ascontiguousarray(dataset.labels)))

@@ -13,6 +13,13 @@ from .errors import DataError, NumericError, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
+# lstsq takes a square R factor's inverse in place of gelsd only when
+# ||R||_F * ||R^-1||_F, which bounds sigma_max / sigma_min from above, stays
+# this factor below 1 / rcond. The computed inverse is off by about
+# EPS * sigma_max / sigma_min relative; under the margin that is below 1e-3,
+# so a matrix whose smallest singular value reaches the cutoff cannot pass.
+_INVERSE_MARGIN = 1e3
+
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Validate user input as a non-empty 2-D float64 array.
@@ -47,12 +54,29 @@ def pseudoinverse(a) -> np.ndarray:
         ) from exc
 
 
+def _bounded_inverse(a: np.ndarray, rcond: float) -> np.ndarray | None:
+    """a's inverse when the norm bound proves that the cutoff rcond cuts
+    none of a's singular values, else None."""
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # an exact zero pivot: a is singular
+        return None
+    with np.errstate(all="ignore"):  # a norm that overflows fails the test
+        bound = np.linalg.norm(a) * np.linalg.norm(inverse)
+    return inverse if bound < 1.0 / (_INVERSE_MARGIN * rcond) else None
+
+
 def lstsq(a, targets, rows: int | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x = targets (LAPACK gelsd
-    through np.linalg.lstsq); equals pseudoinverse(a) @ targets.
+    """Minimum-norm least-squares solution of a @ x = targets; equals
+    pseudoinverse(a) @ targets.
 
     When a is the leading block of the R factor of a taller m-row matrix,
-    pass rows=m: the cutoff is then EPS * max(m, n), that matrix's own.
+    pass rows=m: the cutoff is then EPS * max(m, n), that matrix's own. If
+    that R is square and ||a||_F * ||a^-1||_F < 1 / (_INVERSE_MARGIN * cutoff),
+    no singular value can fall under the cutoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002), so the solution is
+    a^-1 @ targets. Every other input goes to LAPACK gelsd through
+    np.linalg.lstsq.
     """
     a = as_matrix(a, "lstsq input")
     targets = as_matrix(targets, "lstsq targets")
@@ -61,6 +85,10 @@ def lstsq(a, targets, rows: int | None = None) -> np.ndarray:
             f"row mismatch: coefficients {a.shape} vs targets {targets.shape}"
         )
     rcond = _rcond(a) if rows is None else EPS * max(rows, a.shape[1])
+    if rows is not None and a.shape[0] == a.shape[1]:
+        inverse = _bounded_inverse(a, rcond)
+        if inverse is not None:
+            return inverse @ targets
     try:
         return np.linalg.lstsq(a, targets, rcond=rcond)[0]
     except np.linalg.LinAlgError as exc:

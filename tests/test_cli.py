@@ -1272,10 +1272,11 @@ class TestDependencies:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
-    def test_evaluate_and_score_load_no_openssl_and_no_thread_pool(self, small_synth_csv, tmp_path):
-        """hashlib (OpenSSL's _hashlib) and concurrent.futures load only
-        when a command uses them: train's and grid's fingerprint, and a
-        parallel grid search's workers, which the CLI never asks for."""
+    def test_no_command_loads_openssl_or_a_thread_pool(self, small_synth_csv, tmp_path):
+        """No command loads OpenSSL's _hashlib: train's and grid's
+        fingerprint hashes with the interpreter's built-in SHA-256. Nor does
+        any load concurrent.futures, which only a parallel grid search's
+        workers need, and the CLI never asks for them."""
         code = (
             "import sys\n"
             "from flowelm import cli\n"
@@ -1290,12 +1291,12 @@ class TestDependencies:
 
         model, header = tmp_path / "m.flowelm", tmp_path / "header.csv"
         header.write_text(small_synth_csv.read_text().partition("\n")[0] + "\n")
-        assert loaded("train", "--input", str(small_synth_csv), "--model", str(model), "--hidden", "8") == "['_hashlib']"
+        assert loaded("train", "--input", str(small_synth_csv), "--model", str(model), "--hidden", "8") == "[]"
         fingerprint = dataio.load_model(model).fingerprint
         assert len(fingerprint) == 64 and set(fingerprint) <= set("0123456789abcdef")
         grid = ("grid", "--input", str(small_synth_csv), "--model", str(tmp_path / "g.flowelm"), "--hidden", "8",
                 "--activation", "tanh", "--folds", "2")
-        assert loaded(*grid) == "['_hashlib']"
+        assert loaded(*grid) == "[]"
         assert loaded("evaluate", "--model", str(model), "--input", str(header)) == "[]"
         assert loaded("score", "--model", str(model), "--input", str(header)) == "[]"
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -850,6 +851,15 @@ class TestFingerprint:
 
     def test_digest_is_sha256_of_feature_bytes_bar_label_bytes(self):
         rs = np.random.RandomState(2)
+        ds = FlowDataset(features=rs.randn(7, 3), labels=rs.randint(0, 2, 7), feature_names=("a", "b", "c"))
+        expected = hashlib.sha256(ds.features.tobytes() + b"|" + ds.labels.tobytes()).hexdigest()
+        assert dataio.fingerprint(ds) == expected
+
+    def test_digest_falls_back_to_hashlib_without_the_builtin_modules(self, monkeypatch):
+        # an interpreter built without its own SHA-256 module has only hashlib's
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        rs = np.random.RandomState(3)
         ds = FlowDataset(features=rs.randn(7, 3), labels=rs.randint(0, 2, 7), feature_names=("a", "b", "c"))
         expected = hashlib.sha256(ds.features.tobytes() + b"|" + ds.labels.tobytes()).hexdigest()
         assert dataio.fingerprint(ds) == expected

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from flowelm import linalg
+from flowelm import elm, linalg
+from flowelm.elm import Activation, ElmParams
 from flowelm.errors import DataError, NumericError, ShapeError
 
 
@@ -173,3 +174,65 @@ class TestPenroseSweep:
             ref = p @ t
             x = linalg.lstsq(a, t)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), f"lstsq on {m}x{n} (case {i})"
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.lstsq (gelsd) and np.linalg.inv."""
+    calls = {"lstsq": [], "inv": []}
+    for name in calls:
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestInverseRule:
+    """lstsq on a square R factor (rows= given) returns R^-1 @ targets when
+    ||R||_F * ||R^-1||_F proves the cutoff cuts nothing, and gelsd's answer
+    otherwise."""
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_hidden_layer_r_factors_take_the_inverse(self, numpy_calls, activation, width):
+        rs = np.random.RandomState(31)
+        x = rs.randn(2000, 12)
+        t = (x[:, :1] + 0.5 * rs.randn(2000, 1) > 0).astype(float)
+        w, b = elm.init_random(ElmParams(width, activation, seed=5), x.shape[1])
+        h = elm.hidden_layer(x, w, b, activation)
+        r = np.linalg.qr(np.column_stack([h, t]), mode="r")
+        a, qt = r[:width, :width], r[:width, width:]
+        got = linalg.lstsq(a, qt, rows=len(x))
+        assert numpy_calls["lstsq"] == []
+        gelsd = np.linalg.lstsq(a, qt, rcond=linalg.EPS * len(x))[0]
+        assert np.linalg.norm(h @ got - h @ gelsd) <= 1e-12 * np.linalg.norm(h @ gelsd)
+
+    @pytest.mark.parametrize("case", ["repeated column", "zero diagonal", "tiny diagonal"])
+    def test_r_factors_near_the_cutoff_take_gelsd(self, numpy_calls, case):
+        rs = np.random.RandomState(32)
+        if case == "repeated column":
+            h = rs.randn(500, 16)
+            h[:, 9] = h[:, 3]
+            a = np.linalg.qr(h, mode="r")
+        else:
+            a = np.triu(rs.randn(16, 16)) + 4.0 * np.eye(16)
+            a[5, 5] = 0.0 if case == "zero diagonal" else 1e-300
+        t = rs.randn(16, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.lstsq(a, t, rows=500)
+        assert numpy_calls["lstsq"] == [(16, 16)]
+        ref = linalg.pseudoinverse(a) @ t
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_wide_short_r_goes_straight_to_gelsd(self, numpy_calls):
+        # the R factor of a matrix with fewer rows than columns is wide
+        rs = np.random.RandomState(33)
+        a = np.triu(rs.randn(5, 9))
+        t = rs.randn(5, 1)
+        got = linalg.lstsq(a, t, rows=5)
+        assert numpy_calls == {"lstsq": [(5, 9)], "inv": []}
+        ref = linalg.pseudoinverse(a) @ t
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
