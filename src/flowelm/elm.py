@@ -30,7 +30,7 @@ _ROW_MULTIPLE = 8
 # multiple of _ROW_MULTIPLE. Score bits do not depend on it.
 _SCORE_ROWS = 1024
 
-# fit() folds this many rows at a time into its R factor (np.linalg.qr
+# fold_rows() folds this many rows at a time into its R factor (np.linalg.qr
 # copies its input, so a fold holds [R; H_c | T_c] twice). Fit bytes
 # depend on it.
 _FOLD_ROWS = 4096
@@ -186,11 +186,9 @@ def _check_finite(x: np.ndarray, first_row: int) -> None:
 def fit(x_train, y_train, params: ElmParams) -> ElmModel:
     """Train on 0/1 labels: random hidden layer, least-squares output weights.
 
-    H is never held whole. The hidden layer of each _FOLD_ROWS rows is
-    written into the buffer that folds it into the (L+1)x(L+1) R factor of
-    [H | T], whose last column carries Q^T T (TSQR: Demmel, Grigori,
-    Hoemmen & Langou, 2012). Beta is the minimum-norm solution of R's
-    leading block, with H's own cutoff EPS * max(rows, L). Pure function of
+    fold_rows takes the rows into the R factor of [H | T], and
+    linalg.r_solver solves it for the one width. Beta is the minimum-norm
+    solution, with H's own cutoff EPS * max(rows, L). Pure function of
     (x_train, y_train, params); repeated calls are bit-identical.
     """
     x = np.asarray(x_train, dtype=np.float64)
@@ -201,25 +199,55 @@ def fit(x_train, y_train, params: ElmParams) -> ElmModel:
     y = _check_labels(y_train, x.shape[0])
 
     w, b = init_random(params, x.shape[1])
-    width = params.hidden_nodes
+    r = fold_rows(x, y, w, b, params.activation, params.rbf_gamma)
+    return ElmModel(
+        input_weights=w,
+        biases=b,
+        output_weights=linalg.r_solver(r, x.shape[0])(params.hidden_nodes),
+        params=params,
+        n_features=x.shape[1],
+    )
+
+
+def fold_rows(x: np.ndarray, y: np.ndarray, w, b, activation: Activation, rbf_gamma: float = 1.0) -> np.ndarray:
+    """The (L+1)x(L+1) R factor of [H | T] (fewer rows when x has fewer),
+    for 2-D float64 rows x, their 0/1 labels y, and L nodes (w, b).
+
+    H is never held whole. The hidden layer of each _FOLD_ROWS rows is
+    written into the buffer that folds it into R, whose last column carries
+    Q^T T (TSQR: Demmel, Grigori, Hoemmen & Langou, 2012). A non-finite
+    value raises DataError naming its row. Householder QR works column by
+    column, so R's leading k x k block and R[:k, L] are, up to rounding,
+    those of the network of the first k nodes.
+    """
+    width = w.shape[1]
     r = np.empty((0, width + 1))
     for start in range(0, x.shape[0], _FOLD_ROWS):
         rows = x[start : start + _FOLD_ROWS]
         _check_finite(rows, start)
         stacked = np.empty((r.shape[0] + rows.shape[0], width + 1))
         stacked[: r.shape[0]] = r
-        hidden_layer(rows, w, b, params.activation, params.rbf_gamma, out=stacked[r.shape[0] :, :width])
+        hidden_layer(rows, w, b, activation, rbf_gamma, out=stacked[r.shape[0] :, :width])
         stacked[r.shape[0] :, width] = y[start : start + _FOLD_ROWS]
         r = np.linalg.qr(stacked, mode="r")
         del stacked  # before the next fold's rows are allocated
-    beta = linalg.lstsq(r[:width, :width], r[:width, width:], rows=x.shape[0])
-    return ElmModel(
-        input_weights=w,
-        biases=b,
-        output_weights=beta,
-        params=params,
-        n_features=x.shape[1],
-    )
+    return r
+
+
+def score_widths(x, w, b, activation: Activation, rbf_gamma: float, betas) -> list[np.ndarray]:
+    """Raw outputs on rows x of several networks sharing nodes (w, b): one
+    score vector per output-weight column in betas, a k-row column using
+    the first k nodes. The hidden layer runs once, _SCORE_ROWS rows at a
+    time. A non-finite feature value raises DataError naming its row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_finite(x, 0)
+    scores = [np.empty(x.shape[0]) for _ in betas]
+    for start in range(0, x.shape[0], _SCORE_ROWS):
+        h = hidden_layer(x[start : start + _SCORE_ROWS], w, b, activation, rbf_gamma)
+        for out, beta in zip(scores, betas):
+            out[start : start + h.shape[0]] = (h[:, : beta.shape[0]] @ beta)[:, 0]
+    return scores
 
 
 def score(model: ElmModel, x) -> np.ndarray:

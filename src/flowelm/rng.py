@@ -18,8 +18,9 @@ reproduces results bit-for-bit on any platform and in any implementation:
 Bulk consumers (:meth:`Rng.draws`, :meth:`Rng.randbelow_each`,
 :meth:`Rng.uniform_matrix`, :meth:`Rng.shuffle`) may take their outputs n
 at a time; the stream, and so every value, is the one ``next_u64`` gives one
-call at a time. Above a crossover the n outputs come from lanes that numpy
-advances together: the state update is linear over GF(2), so a jump of L
+call at a time. Below a crossover the n outputs come from the scalar loop
+that ``next_u64`` runs for one; above it, from lanes that numpy advances
+together: the state update is linear over GF(2), so a jump of L
 steps is a 256 x 256 bit matrix, and lane p starts L steps after lane p - 1.
 
 Derived seeds (for per-fold training, for example) come from
@@ -35,11 +36,12 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _DOUBLE_SCALE = 2.0 ** -53
-# Below this many outputs draws() loops next_u64, since each lane step and
-# each jump is a fixed run of numpy calls: on a 2-core VM (numpy 2.4, best of
-# 21) 750 outputs took 0.93 ms looped and 0.98 ms in lanes, 1 000 took 1.28
-# and 1.13 ms, 2 000 took 2.6 and 1.6 ms.
-_LANES_FROM = 1000
+# Below this many outputs draws() takes the scalar loop that next_u64
+# shares, since each lane step and each jump is a fixed run of numpy calls:
+# on a 2-core VM (numpy 2.4, best of 21, two sittings) 1 500 outputs took
+# 0.83-0.85 ms looped and 0.90-0.95 ms in lanes, 1 750 took 0.98 and
+# 1.01 ms, 2 000 took 1.12 and 1.04 ms, 3 000 took 1.65 and 1.31 ms.
+_LANES_FROM = 2000
 _SWAP_BLOCK = 4096  # shuffle() makes Python ints of its swap indices this many at a time, not all at once
 
 _U64 = np.uint64
@@ -55,10 +57,6 @@ def _mix64(z: int) -> int:
 def _splitmix64_next(state: int) -> tuple[int, int]:
     state = (state + _GOLDEN) & _MASK64
     return state, _mix64(state)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def derive_seed(*parts: int) -> int:
@@ -133,23 +131,31 @@ class Rng:
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
+        return self._outputs(1)[0]
+
+    def _outputs(self, n: int) -> list[int]:
+        """The next n outputs, the one xoshiro256++ step written out with
+        the state words in locals."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        out = [0] * n
+        for i in range(n):
+            t = (s0 + s3) & _MASK64
+            out[i] = ((((t << 23) | (t >> 41)) & _MASK64) + s0) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s = [s0, s1, s2, s3]
-        return result
+        return out
 
     def draws(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array, leaving the state where n
         calls of next_u64() would."""
         if n < _LANES_FROM:
-            return np.fromiter((self.next_u64() for _ in range(n)), dtype=np.uint64, count=n)
+            return np.array(self._outputs(n), dtype=np.uint64)
         steps = math.isqrt(n)
         lanes = n // steps + 1
         columns = _jump_columns(steps)
@@ -168,7 +174,7 @@ class Rng:
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * _DOUBLE_SCALE
+        return (self._outputs(1)[0] >> 11) * _DOUBLE_SCALE
 
     def uniform_matrix(self, rows: int, cols: int, low: float, high: float) -> np.ndarray:
         """Matrix of i.i.d. uniforms; row-major fill order is part of the contract.
@@ -188,8 +194,9 @@ class Rng:
             z = self._spare_normal
             self._spare_normal = None
         else:
-            u1 = 1.0 - self.random()  # (0, 1], keeps log() finite
-            u2 = self.random()
+            u1, u2 = self._outputs(2)
+            u1 = 1.0 - (u1 >> 11) * _DOUBLE_SCALE  # (0, 1], keeps log() finite
+            u2 = (u2 >> 11) * _DOUBLE_SCALE
             r = math.sqrt(-2.0 * math.log(u1))
             z = r * math.cos(2.0 * math.pi * u2)
             self._spare_normal = r * math.sin(2.0 * math.pi * u2)

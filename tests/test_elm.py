@@ -370,3 +370,52 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < full_h_bytes / 2, f"peak {peak} bytes, one H is {full_h_bytes}"
+
+
+class TestNestedWidths:
+    """fold_rows and linalg.r_solver: one R factor of the widest layer
+    serves the network of every leading set of its nodes."""
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_width_k_from_the_widest_r_matches_a_fit_of_the_first_k_nodes(self, activation):
+        rs = np.random.RandomState(19)
+        x = rs.randn(2000, 12)
+        y = (x[:, 0] + 0.5 * rs.randn(2000) > 0).astype(int)
+        w, b = elm.init_random(params(hidden=256, activation=activation, seed=11, gamma=0.1), x.shape[1])
+        solve = linalg.r_solver(elm.fold_rows(x, y, w, b, activation, 0.1), len(x))
+        for k in (8, 16, 32, 256):
+            alone = elm.fold_rows(x, y, w[:, :k], b[:, :k], activation, 0.1)
+            h = elm.hidden_layer(x, w[:, :k], b[:, :k], activation, 0.1)
+            fitted = h @ solve(k)
+            expected = h @ linalg.r_solver(alone, len(x))(k)
+            assert np.linalg.norm(fitted - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_fit_is_fold_rows_then_r_solver(self):
+        rs = np.random.RandomState(20)
+        x = rs.randn(300, 7)
+        y = rs.randint(0, 2, 300)
+        p = params(hidden=24, activation=Activation.SIGMOID, seed=3)
+        w, b = elm.init_random(p, x.shape[1])
+        beta = linalg.r_solver(elm.fold_rows(x, y, w, b, p.activation), len(x))(24)
+        assert elm.fit(x, y, p).output_weights.tobytes() == beta.tobytes()
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_score_widths_equals_each_width_scored_alone(self, monkeypatch, activation):
+        monkeypatch.setattr(elm, "_SCORE_ROWS", 64)
+        rs = np.random.RandomState(21)
+        x = rs.randn(203, 6)
+        w, b = elm.init_random(params(hidden=40, activation=activation, seed=2), 6)
+        betas = [rs.randn(k, 1) for k in (40, 5, 17)]
+        scores = elm.score_widths(x, w, b, activation, 1.0, betas)
+        for beta, got in zip(betas, scores):
+            k = beta.shape[0]
+            model = elm.ElmModel(w[:, :k], b[:, :k], beta, params(hidden=k, activation=activation), 6)
+            expected = elm.score(model, x)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_score_widths_names_a_non_finite_row(self):
+        w, b = elm.init_random(params(hidden=4), 2)
+        x = np.zeros((10, 2))
+        x[7, 1] = np.inf
+        with pytest.raises(DataError, match="non-finite feature value in row 7"):
+            elm.score_widths(x, w, b, Activation.TANH, 1.0, [np.ones((4, 1))])

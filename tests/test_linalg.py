@@ -236,3 +236,105 @@ class TestInverseRule:
         assert numpy_calls == {"lstsq": [(5, 9)], "inv": []}
         ref = linalg.pseudoinverse(a) @ t
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.fixture(scope="module")
+def sigmoid_r():
+    """The R factor of a 2560-row, 1024-node sigmoid layer and its targets."""
+    rs = np.random.RandomState(41)
+    x = rs.randn(2560, 12)
+    t = (x[:, :1] + 0.5 * rs.randn(2560, 1) > 0).astype(float)
+    w, b = elm.init_random(ElmParams(1024, Activation.SIGMOID, seed=6), x.shape[1])
+    return np.linalg.qr(np.column_stack([elm.hidden_layer(x, w, b, Activation.SIGMOID), t]), mode="r")
+
+
+def relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestTriangularInverse:
+    """R's inverse by the 2x2 block recursion, np.linalg.inv below
+    _INVERSE_BLOCK columns."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 127])
+    def test_narrow_r_keeps_inv_bits(self, sigmoid_r, n):
+        a = sigmoid_r[:n, :n]
+        assert linalg._inverse(a, triangular=True).tobytes() == np.linalg.inv(a).tobytes()
+
+    @pytest.mark.parametrize("n", [128, 129, 256, 513, 1024])
+    def test_wide_r_matches_inv(self, sigmoid_r, n):
+        a = sigmoid_r[:n, :n]
+        got = linalg._inverse(a, triangular=True)
+        assert relative(got, np.linalg.inv(a)) <= 1e-14
+        assert not np.tril(got, -1).any()
+
+    @pytest.mark.parametrize("k", [1, 16, 100, 128, 300, 512, 1000])
+    def test_leading_block_is_the_leading_blocks_inverse(self, sigmoid_r, k):
+        inverse = linalg._inverse(sigmoid_r[:1024, :1024], triangular=True)
+        assert relative(inverse[:k, :k], np.linalg.inv(sigmoid_r[:k, :k])) <= 1e-14
+
+    def test_square_non_triangular_a_never_reaches_the_recursion(self, monkeypatch):
+        recursions = []
+        real = linalg._triangular_inverse
+
+        def spy(r):
+            recursions.append(r.shape)
+            return real(r)
+
+        monkeypatch.setattr(linalg, "_triangular_inverse", spy)
+        rs = np.random.RandomState(42)
+        a = np.triu(rs.randn(200, 200)) + 20.0 * np.eye(200)
+        t = rs.randn(200, 1)
+        linalg.lstsq(a, t, rows=1000)
+        assert recursions[0] == (200, 200)  # an upper-triangular a does
+        recursions.clear()
+        a[150, 3] = 1e-9
+        got = linalg.lstsq(a, t, rows=1000)
+        assert recursions == []
+        assert relative(got, np.linalg.solve(a, t)) <= 1e-12
+
+
+class TestRSolver:
+    """r_solver: one inverse of R's widest block serves every width, each
+    width with its own cutoff, bound and gelsd fallback."""
+
+    @pytest.mark.parametrize("widths", [(16, 100, 256, 1024), (8,)])
+    def test_each_width_matches_lstsq_on_its_block(self, sigmoid_r, numpy_calls, widths):
+        solve = linalg.r_solver(sigmoid_r[:, [*range(max(widths)), 1024]][: max(widths) + 1], 2560)
+        for k in widths:
+            ref = linalg.lstsq(sigmoid_r[:k, :k], sigmoid_r[:k, 1024:], rows=2560)
+            assert relative(solve(k), ref) <= 1e-12
+        assert numpy_calls["lstsq"] == []
+
+    @pytest.mark.parametrize("trailing", [0.0, 1e-20])
+    def test_rank_deficient_trailing_block_sends_only_the_wide_width_to_gelsd(self, numpy_calls, trailing):
+        rs = np.random.RandomState(43)
+        r = np.triu(rs.randn(257, 257)) + 8.0 * np.eye(257)
+        r[230, 230] = trailing  # the R factor of 256 nodes whose 231st is a combination of the others
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve = linalg.r_solver(r, 256)
+            betas = {k: solve(k) for k in (16, 128, 192, 256)}
+        assert numpy_calls["lstsq"] == [(256, 256)]
+        for k in (16, 128, 192):
+            assert relative(betas[k], np.linalg.solve(r[:k, :k], r[:k, 256:])) <= 1e-12
+        ref = linalg.pseudoinverse(r[:256, :256]) @ r[:256, 256:]
+        assert relative(betas[256], ref) <= 1e-10
+
+    def test_width_past_the_rows_of_a_wide_r_takes_gelsd(self, numpy_calls):
+        # 40 rows, 64 nodes: widths up to 40 are square blocks of R
+        rs = np.random.RandomState(44)
+        h, t = rs.randn(40, 64), rs.randn(40, 1)
+        r = np.linalg.qr(np.column_stack([h, t]), mode="r")
+        ref = linalg.pseudoinverse(h[:, :16]) @ t
+        solve = linalg.r_solver(r, 40)
+        assert relative(solve(16), ref) <= 1e-12
+        assert numpy_calls["lstsq"] == []
+        assert relative(solve(64), linalg.pseudoinverse(h) @ t) <= 1e-10
+        assert numpy_calls["lstsq"] == [(40, 64)]
+
+    def test_non_finite_r_is_a_data_error(self):
+        r = np.eye(5)
+        r[2, 4] = np.nan
+        with pytest.raises(DataError, match="R factor has a non-finite entry at row 2, column 4"):
+            linalg.r_solver(r, 100)

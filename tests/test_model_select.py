@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flowelm import elm, model_select, preprocess
+from flowelm import elm, linalg, model_select, preprocess
 from flowelm.elm import Activation, ElmParams
-from flowelm.errors import DataError, StratificationError
+from flowelm.errors import DataError, NumericError, StratificationError
 from flowelm.model_select import GridSpec
 from flowelm.preprocess import FlowDataset
 from flowelm.rng import Rng
@@ -183,24 +183,24 @@ class TestFoldRowsScaledInPlace:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_fit_gets_the_array_the_folds_scaler_measured(self, separable_data, monkeypatch, workers):
         """A fold's training rows are scaled in place, with apply_scaler's
-        bits: every fit of the fold gets the very array that fit_scaler
-        measured, so no second copy of them is made."""
-        calls = []  # ("fit_scaler", its input, a copy of it) or ("fit", its input)
-        real_fit_scaler, real_fit = model_select.fit_scaler, elm.fit
+        bits: each (fold, activation) unit folds the very array that
+        fit_scaler measured, so no second copy of them is made."""
+        calls = []  # ("fit_scaler", its input, a copy of it) or ("fold_rows", its input)
+        real_fit_scaler, real_fold_rows = model_select.fit_scaler, elm.fold_rows
 
         def spy_fit_scaler(train_features, *names):
             calls.append(("fit_scaler", train_features, np.array(train_features)))
             return real_fit_scaler(train_features, *names)
 
-        def spy_fit(x, y, params):
-            calls.append(("fit", x))
-            return real_fit(x, y, params)
+        def spy_fold_rows(x, *args):
+            calls.append(("fold_rows", x))
+            return real_fold_rows(x, *args)
 
         monkeypatch.setattr(model_select, "fit_scaler", spy_fit_scaler)
-        monkeypatch.setattr(model_select.elm, "fit", spy_fit)
+        monkeypatch.setattr(model_select.elm, "fold_rows", spy_fold_rows)
         spec = GridSpec(hidden_nodes=(4, 8), activations=(Activation.TANH, Activation.SIGMOID), folds=3, seed=1)
         model_select.grid_search(separable_data, spec, workers=workers)
-        assert [name for name, *_ in calls] == (["fit_scaler"] + ["fit"] * 4) * 3
+        assert [name for name, *_ in calls] == (["fit_scaler"] + ["fold_rows"] * 2) * 3
         for call in calls:
             if call[0] == "fit_scaler":
                 _, measured, unscaled = call
@@ -208,6 +208,58 @@ class TestFoldRowsScaledInPlace:
             else:
                 assert call[1] is measured
                 assert call[1].tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def noisy_data():
+    """Overlapping classes, so fold scores differ between configurations."""
+    rs = np.random.RandomState(4)
+    labels = np.arange(240) % 2
+    features = rs.randn(240, 5) + 0.8 * labels[:, None] * np.array([1.0, -1.0, 0.5, 0.0, 0.0])
+    return FlowDataset(features=features, labels=labels, feature_names=tuple(f"f{j}" for j in range(5)))
+
+
+def fold_scores(data, workers=1, **grid):
+    spec = GridSpec(folds=3, seed=9, **grid)
+    return {entry.params: entry.fold_scores for entry in model_select.grid_search(data, spec, workers).entries}
+
+
+class TestGridContract:
+    """Width k's network in a fold is the first k nodes of one node-major
+    draw per (fold, activation, gamma), so a configuration's fold scores
+    depend on the grid only through its widest width."""
+
+    BASE = dict(hidden_nodes=(4, 8, 24), activations=(Activation.TANH, Activation.SIGMOID))
+
+    def test_fold_scores_vary(self, noisy_data):
+        scores = fold_scores(noisy_data, **self.BASE)
+        assert len({score for folds in scores.values() for score in folds}) > 6
+
+    def test_width_order_changes_no_fold_score(self, noisy_data):
+        reordered = dict(self.BASE, hidden_nodes=(24, 4, 8))
+        assert fold_scores(noisy_data, **reordered) == fold_scores(noisy_data, **self.BASE)
+
+    def test_another_activation_changes_no_fold_score(self, noisy_data):
+        base = fold_scores(noisy_data, **self.BASE)
+        more = fold_scores(noisy_data, **dict(self.BASE, activations=(Activation.RBF, Activation.TANH, Activation.SIGMOID)))
+        assert {params: more[params] for params in base} == base
+
+    def test_four_workers_change_no_fold_score(self, noisy_data):
+        assert fold_scores(noisy_data, workers=4, **self.BASE) == fold_scores(noisy_data, **self.BASE)
+
+    def test_each_unit_draws_the_widest_layer_once(self, noisy_data, monkeypatch):
+        """Every (fold, activation) unit draws the grid's widest layer, node-major."""
+        draws = []
+        real = model_select.Rng
+
+        class SpyRng(real):
+            def uniform_matrix(self, rows, cols, low, high):
+                draws.append((rows, cols))
+                return super().uniform_matrix(rows, cols, low, high)
+
+        monkeypatch.setattr(model_select, "Rng", SpyRng)
+        fold_scores(noisy_data, **self.BASE)
+        assert draws == [(24, 6)] * 6  # 3 folds x 2 activations, each 24 nodes of 5 weights and a bias
 
 
 class TestGridSearch:
@@ -269,25 +321,34 @@ class TestGridSearch:
             assert entry.mean == np.mean(alone)
 
     def test_failed_configuration_does_not_abort(self, separable_data, monkeypatch):
-        real = elm.fit
-        widths = []
+        """A width whose solve raises runs no later fold; the widths solved
+        from the same R factor go on."""
+        real = linalg.r_solver
+        solved = []
 
-        def flaky(x, y, params):
-            widths.append(params.hidden_nodes)
-            if params.hidden_nodes == 8:
-                raise DataError("synthetic failure")
-            return real(x, y, params)
+        def flaky(r, rows):
+            solve = real(r, rows)
 
-        monkeypatch.setattr(elm, "fit", flaky)
+            def flaky_solve(width):
+                solved.append(width)
+                if width == 8:
+                    raise NumericError("synthetic failure")
+                return solve(width)
+
+            return flaky_solve
+
+        monkeypatch.setattr(linalg, "r_solver", flaky)
         spec = GridSpec(hidden_nodes=(8, 16), activations=(Activation.TANH,), folds=2, seed=0)
         result = model_select.grid_search(separable_data, spec)
         assert len(result.entries) == 2
         failed = [e for e in result.entries if e.error is not None]
         assert len(failed) == 1
+        assert failed[0].params.hidden_nodes == 8 and failed[0].error == "synthetic failure"
         assert failed[0].mean == float("-inf")
         assert result.entries[-1] is failed[0]
         assert result.best.hidden_nodes == 16
-        assert widths == [8, 16, 16]  # the failed configuration runs no later fold
+        assert len(result.entries[0].fold_scores) == 2
+        assert solved == [8, 16, 16]  # the failed width runs no later fold
 
     def test_folds_dealt_and_scaled_once_for_every_configuration(self, separable_data, monkeypatch):
         calls = {"kfold_indices": 0, "fit_scaler": 0}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def test_float_bits_round_trip_identity():
         assert float_bits(x) == int(np.float64(x).view(np.uint64))
 
 
-# Sizes on both sides of the lane crossover: n < _LANES_FROM loops next_u64;
+# Sizes on both sides of the lane crossover: n < _LANES_FROM takes the scalar loop;
 # 2550 is 50 * 51 (isqrt 50), so its last lane draws nothing.
 _LANE_SIZES = [0, 1, _LANES_FROM - 1, _LANES_FROM, _LANES_FROM + 1, 2550, 20_000, 100_003]
 
@@ -96,3 +98,45 @@ def test_uniform_matrix_bits_equal_the_scalar_formula(rows, cols):
     drawn = Rng(17).uniform_matrix(rows, cols, -0.5, 1.75)
     assert drawn.shape == (rows, cols)
     assert drawn.reshape(-1).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+def reference_stream(seed, n):
+    """xoshiro256++ written from its definition, seeded by splitmix64."""
+    mask = 2**64 - 1
+    state, words = seed & mask, []
+    for _ in range(4):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    s0, s1, s2, s3 = words
+
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & mask
+
+    out = []
+    for _ in range(n):
+        out.append((rotl((s0 + s3) & mask, 23) + s0) & mask)
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = rotl(s3, 45)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_scalar_loop_follows_the_reference_stream(seed):
+    """next_u64, random, normal and short draws share one scalar step; pin it
+    against the algorithm as published, not against itself."""
+    expected = reference_stream(seed, 300)
+    rng = Rng(seed)
+    assert [rng.next_u64() for _ in range(3)] == expected[:3]
+    assert rng.draws(200).tolist() == expected[3:203]
+    assert rng.random() == (expected[203] >> 11) * 2.0**-53
+    u1, u2 = ((u >> 11) * 2.0**-53 for u in expected[204:206])
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    assert [rng.normal(), rng.normal()] == [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    assert rng.next_u64() == expected[206]
