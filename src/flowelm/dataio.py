@@ -19,7 +19,6 @@ import array
 import csv
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -599,17 +598,23 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 def write_atomic(path, text: str) -> None:
     """Write UTF-8 text through a temp file renamed into place, so a failure
-    never leaves a partial file behind."""
+    never leaves a partial file behind. The file gets the mode open(path, "w")
+    gives a new file, 0o666 less the umask. An OSError names path, not the
+    temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".flowelm-tmp-")
+    tmp_path = os.path.join(directory, f".flowelm-tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def load_model(path) -> ModelArtifact:

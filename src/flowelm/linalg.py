@@ -1,10 +1,9 @@
 """Dense float64 least squares and pseudoinverse on numpy's LAPACK drivers.
 
-r_solver solves an R factor for the networks of its leading columns, each
-by lstsq's rule. lstsq and pseudoinverse use the same cutoff: singular
-values at or below EPS * max(m, n) * sigma_max count as zero, m x n being
-the shape of the matrix solved (for lstsq on an R factor, of the matrix it
-came from).
+lstsq and pseudoinverse use one cutoff: singular values at or below
+EPS * max(m, n) * sigma_max count as zero, m x n being the shape of the
+matrix solved. r_solver solves an R factor for the networks of its leading
+columns, each with the cutoff of the matrix the R factor came from.
 """
 
 from __future__ import annotations
@@ -15,17 +14,17 @@ from .errors import DataError, NumericError, ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
-# lstsq takes a square R factor's inverse in place of gelsd only when
-# ||R||_F * ||R^-1||_F, which bounds sigma_max / sigma_min from above, stays
-# this factor below 1 / rcond. The computed inverse is off by about
+# r_solver takes a leading block R_k's inverse in place of gelsd only when
+# ||R_k||_F * ||R_k^-1||_F, which bounds sigma_max / sigma_min from above,
+# stays this factor below 1 / rcond. The computed inverse is off by about
 # EPS * sigma_max / sigma_min relative; under the margin that is below 1e-3,
 # so a matrix whose smallest singular value reaches the cutoff cannot pass.
 _INVERSE_MARGIN = 1e3
 
-# _triangular_inverse hands a block of fewer columns than this to
-# np.linalg.inv, so an R factor this narrow keeps np.linalg.inv's bits. At
-# 1024 columns the recursion took 17 ms against np.linalg.inv's 92-106 ms
-# (one BLAS thread, 2-core VM), within 1.5e-15 relative (Frobenius).
+# _inverse hands a block of fewer columns than this to np.linalg.inv, so an
+# R factor this narrow keeps np.linalg.inv's bits. At 1024 columns the
+# recursion took 17 ms against np.linalg.inv's 92-106 ms (one BLAS thread,
+# 2-core VM), within 1.5e-15 relative (Frobenius).
 _INVERSE_BLOCK = 128
 
 
@@ -62,18 +61,19 @@ def pseudoinverse(a) -> np.ndarray:
         ) from exc
 
 
-def _inverse(a: np.ndarray, triangular: bool) -> np.ndarray:
-    """a's inverse: np.linalg.inv's, or the block recursion's when a is upper
-    triangular and has _INVERSE_BLOCK columns or more. A block in which
-    np.linalg.inv meets an exact zero pivot comes back as inf, which fails
-    the bound of every leading block that covers it, not of those before it.
-    Call under np.errstate(all="ignore"): an overflow fails the bound too."""
-    if triangular and a.shape[0] >= _INVERSE_BLOCK:
-        return _triangular_inverse(a)
+def _inverse(r: np.ndarray) -> np.ndarray:
+    """The upper-triangular square r's inverse: the block recursion's when r
+    has _INVERSE_BLOCK columns or more, np.linalg.inv's below. A block in
+    which np.linalg.inv meets an exact zero pivot comes back as inf, which
+    fails the bound of every leading block that covers it, not of those
+    before it. Call under np.errstate(all="ignore"): an overflow fails the
+    bound too."""
+    if r.shape[0] >= _INVERSE_BLOCK:
+        return _triangular_inverse(r)
     try:
-        return np.linalg.inv(a)
+        return np.linalg.inv(r)
     except np.linalg.LinAlgError:
-        return np.full(a.shape, np.inf)
+        return np.full(r.shape, np.inf)
 
 
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:
@@ -81,16 +81,15 @@ def _triangular_inverse(r: np.ndarray) -> np.ndarray:
     upper-triangular r, A its leading half."""
     h = r.shape[0] // 2
     out = np.zeros(r.shape)
-    a_inv = out[:h, :h] = _inverse(r[:h, :h], True)
-    d_inv = out[h:, h:] = _inverse(r[h:, h:], True)
+    a_inv = out[:h, :h] = _inverse(r[:h, :h])
+    d_inv = out[h:, h:] = _inverse(r[h:, h:])
     np.matmul(a_inv @ r[:h, h:], d_inv, out=out[:h, h:])
     out[:h, h:] *= -1.0
     return out
 
 
 def _leading_norms(a: np.ndarray) -> np.ndarray:
-    """Entry k - 1 is ||a[:k, :k]||_F for an upper-triangular square a, and
-    the last entry is ||a||_F for any square a."""
+    """Entry k - 1 is ||a[:k, :k]||_F for an upper-triangular square a."""
     return np.sqrt(np.cumsum(np.einsum("ij,ij->j", a, a)))
 
 
@@ -103,20 +102,28 @@ def _gelsd(a: np.ndarray, targets: np.ndarray, rcond: float) -> np.ndarray:
         ) from exc
 
 
-def _leading_solver(a: np.ndarray, targets: np.ndarray, rows: int, triangular: bool):
-    """lstsq's rule for a's leading blocks: the function returned solves
-    a[:k, :k] @ x = targets[:k] for a k, with the cutoff EPS * max(rows, k).
+def r_solver(r, rows: int):
+    """Output weights from the R factor r of an m-row matrix [H | T], T its
+    last column, for the networks of H's first k columns.
 
-    a's leading square block is inverted once, by the block recursion when
-    a is upper triangular, since then the leading k x k block of that
-    inverse is a[:k, :k]'s inverse. A k within that block takes it when
-    ||a[:k, :k]||_F times the norm of its block of the inverse is below
-    1 / (_INVERSE_MARGIN * cutoff); every other k goes to gelsd.
+    rows is m. The function returned gives, for a width k, the minimum-norm
+    solution of R_k @ beta = r[:k, -1:], R_k = r[:k, :k], with the cutoff
+    EPS * max(m, k), that of H's first k columns; it equals
+    pseudoinverse(R_k) @ r[:k, -1:] up to rounding. R's leading square block
+    is inverted once, and the leading k x k block of that inverse is R_k's
+    inverse. A width k within that block takes R_k^-1 @ r[:k, -1:] when
+    ||R_k||_F * ||R_k^-1||_F < 1 / (_INVERSE_MARGIN * cutoff): that product
+    bounds sigma_max / sigma_min from above, so no singular value of R_k can
+    fall under the cutoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002). Every other width goes to LAPACK gelsd with its
+    cutoff. r is checked once.
     """
+    r = as_matrix(r, "R factor")
+    a, targets = r[:, :-1], r[:, -1:]
     square = min(a.shape)
     lead = a[:square, :square]
     with np.errstate(all="ignore"):  # inf and nan products fail the bound
-        inverse = _inverse(lead, triangular)
+        inverse = _inverse(lead)
         products = _leading_norms(lead) * _leading_norms(inverse)
 
     def solve(k: int) -> np.ndarray:
@@ -128,39 +135,14 @@ def _leading_solver(a: np.ndarray, targets: np.ndarray, rows: int, triangular: b
     return solve
 
 
-def r_solver(r, rows: int):
-    """Output weights from the R factor r of an m-row matrix [H | T], T its
-    last column, for the networks of H's first k columns.
-
-    Pass rows=m. The function returned gives, for a width k, what
-    lstsq(r[:k, :k], r[:k, -1:], rows=m) gives up to rounding: each width
-    takes its own cutoff EPS * max(m, k), its own norm bound and its own
-    gelsd fallback. r is checked once, and R's leading square block is
-    inverted once for every width.
-    """
-    r = as_matrix(r, "R factor")
-    return _leading_solver(r[:, :-1], r[:, -1:], rows, triangular=True)
-
-
-def lstsq(a, targets, rows: int | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x = targets; equals
-    pseudoinverse(a) @ targets.
-
-    When a is the leading block of the R factor of a taller m-row matrix,
-    pass rows=m: the cutoff is then EPS * max(m, n), that matrix's own. If
-    that R is square and ||a||_F * ||a^-1||_F < 1 / (_INVERSE_MARGIN * cutoff),
-    no singular value can fall under the cutoff (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002), so the solution is
-    a^-1 @ targets; an upper-triangular a is inverted by the block recursion
-    that r_solver uses. Every other input goes to LAPACK gelsd through
-    np.linalg.lstsq.
-    """
+def lstsq(a, targets) -> np.ndarray:
+    """Minimum-norm least-squares solution of a @ x = targets by LAPACK gelsd
+    (np.linalg.lstsq) with the cutoff EPS * max(m, n); equals
+    pseudoinverse(a) @ targets."""
     a = as_matrix(a, "lstsq input")
     targets = as_matrix(targets, "lstsq targets")
     if a.shape[0] != targets.shape[0]:
         raise ShapeError(
             f"row mismatch: coefficients {a.shape} vs targets {targets.shape}"
         )
-    if rows is not None and a.shape[0] == a.shape[1]:
-        return _leading_solver(a, targets, rows, triangular=not np.tril(a, -1).any())(a.shape[1])
-    return _gelsd(a, targets, _rcond(a) if rows is None else EPS * max(rows, a.shape[1]))
+    return _gelsd(a, targets, _rcond(a))

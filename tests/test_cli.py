@@ -76,6 +76,9 @@ class TestTrain:
         result = cli("train", "--input", str(small_synth_csv), "--model", str(target))
         assert result.returncode == 2
         assert not target.exists()
+        # the message names the path given, not the temp file beside it
+        assert result.stderr == f"flowelm: save: file not found: {target}\n"
+        assert ".flowelm-tmp-" not in result.stderr
 
     def test_piped_input_fails_loudly_instead_of_losing_rows(self, cli, small_synth_csv, tmp_path):
         # the layout is inferred in a pass of its own, and a pipe cannot be rewound for the second
@@ -475,6 +478,26 @@ class TestScore:
             proc.stdin.close()
             proc.wait(timeout=30)
             proc.stdout.close()
+
+    def test_consumer_closing_the_pipe_exits_0_quietly(self, trained, tmp_path):
+        # 40 000 verdicts, about 1.2 MB, overfill the pipe, so score is still
+        # writing when the reader goes away, as under `flowelm score | head -1`
+        capture = tmp_path / "capture.csv"
+        dataio.write_csv(dataio.generate_synthetic(dataio.SyntheticSpec(n_benign=20000, n_attack=20000, seed=7)), capture)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flowelm", "score", "--model", str(trained), "--input", str(capture)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"0,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
     @staticmethod
     def start_scorer(model):

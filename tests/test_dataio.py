@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import re
+import stat
 import sys
 import tracemalloc
 from unittest import mock
@@ -410,6 +412,31 @@ class TestModelArtifact:
         path.write_text(text)
         with pytest.raises(IntegrityError, match="out of range"):
             dataio.load_model(path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_mode_open_gives_a_new_file(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            open(tmp_path / "plain.txt", "w").close()
+            dataio.save_model(make_artifact(), tmp_path / "m.flowelm")
+            dataio.write_atomic(tmp_path / "report.txt", "accuracy=1\n")
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["plain.txt", "m.flowelm", "report.txt"], modes["plain.txt"])
+
+    @pytest.mark.parametrize("case", ["missing directory", "directory in the way"])
+    def test_failed_write_names_the_destination(self, tmp_path, case):
+        if case == "missing directory":
+            path = tmp_path / "missing" / "report.txt"
+        else:
+            path = tmp_path / "taken"
+            path.mkdir()
+        with pytest.raises(OSError) as info:
+            dataio.write_atomic(path, "accuracy=1\n")
+        assert info.value.filename == str(path)
+        assert ".flowelm-tmp-" not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name] * (case != "missing directory")
 
     def test_artifact_validation_catches_scaler_width(self):
         artifact = make_artifact()

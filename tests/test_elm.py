@@ -232,7 +232,7 @@ class TestFit:
         for start in range(0, len(x), elm._FOLD_ROWS):
             h = elm.hidden_layer(x[start : start + elm._FOLD_ROWS], w, b, activation, p.rbf_gamma)
             r = np.linalg.qr(np.vstack([r, np.column_stack([h, y[start : start + elm._FOLD_ROWS]])]), mode="r")
-        beta = linalg.lstsq(r[:40, :40], r[:40, 40:], rows=len(x))
+        beta = linalg.r_solver(r, len(x))(40)
         assert elm.fit(x, y, p).output_weights.tobytes() == beta.tobytes()
 
     @pytest.mark.parametrize("fold_rows", [4, 500])
