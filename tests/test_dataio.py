@@ -436,7 +436,8 @@ class TestModelArtifact:
             dataio.write_atomic(path, "accuracy=1\n")
         assert info.value.filename == str(path)
         assert ".flowelm-tmp-" not in str(info.value)
-        assert [p.name for p in tmp_path.iterdir()] == [path.name] * (case != "missing directory")
+        # no temp file is left beside the destination
+        assert [p.name for p in tmp_path.iterdir()] == ([] if case == "missing directory" else ["taken"])
 
     def test_artifact_validation_catches_scaler_width(self):
         artifact = make_artifact()
